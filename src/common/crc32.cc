@@ -6,33 +6,53 @@ namespace ddc {
 
 namespace {
 
-/// The 256-entry lookup table for the reflected polynomial, computed once
-/// at first use (constant-initialized would also do, but a lambda-built
-/// static keeps the table out of the binary image).
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables for the reflected polynomial, computed once at first
+/// use. tables[0] is the classic byte-at-a-time table; tables[k][b] is the
+/// CRC contribution of byte b followed by k zero bytes, so eight table
+/// lookups fold eight input bytes at once.
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+/// Little-endian 32-bit load by explicit byte composition: one unaligned
+/// load on a little-endian host, correct on any other.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  const std::array<uint32_t, 256>& table = Crc32Table();
+  const Crc32Tables& t = Tables();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -8,10 +8,10 @@
 namespace ddc {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum the
-/// durability layer stamps on every WAL record and snapshot section. The
-/// implementation is the classic 8-entries-per-byte table walk: not the
-/// fastest possible, but the checksummed paths are checkpoint/recovery
-/// code, never the per-operation hot path.
+/// durability layer stamps on every WAL record and snapshot section.
+/// Slice-by-8: eight bytes per step through eight 256-entry tables, so a
+/// snapshot save's checksum pass runs at memory speed rather than at one
+/// table lookup per byte. Same checksums as the bytewise walk.
 
 /// CRC of `n` bytes at `data`, continuing from `seed` (0 for a fresh
 /// checksum). Chain calls to checksum discontiguous pieces:

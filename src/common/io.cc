@@ -171,6 +171,13 @@ bool WriteFile(const std::string& path, std::string_view contents,
 
 bool WriteFileAtomic(const std::string& path, std::string_view contents,
                      std::string* error) {
+  return WriteFileAtomic(
+      path, [contents](WritableFile& f) { f.Append(contents); }, error);
+}
+
+bool WriteFileAtomic(const std::string& path,
+                     const std::function<void(WritableFile&)>& write,
+                     std::string* error) {
   const std::string tmp = path + ".tmp";
   std::string open_error;
   std::unique_ptr<BufferedFile> f =
@@ -179,7 +186,7 @@ bool WriteFileAtomic(const std::string& path, std::string_view contents,
     if (error != nullptr) *error = open_error;
     return false;
   }
-  f->Append(contents);
+  write(*f);
   f->Sync();
   if (!f->Close()) {
     if (error != nullptr) *error = f->error();

@@ -113,6 +113,13 @@ bool WriteFile(const std::string& path, std::string_view contents,
 bool WriteFileAtomic(const std::string& path, std::string_view contents,
                      std::string* error = nullptr);
 
+/// WriteFileAtomic whose contents `write` appends to the temporary file
+/// piece by piece, so the caller never assembles the whole file in memory.
+/// Append failures latch in the file and fail the call.
+bool WriteFileAtomic(const std::string& path,
+                     const std::function<void(WritableFile&)>& write,
+                     std::string* error = nullptr);
+
 /// Reads the whole of `path` into *out. False (and *error) on failure.
 bool ReadFileToString(const std::string& path, std::string* out,
                       std::string* error = nullptr);

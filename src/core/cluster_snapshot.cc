@@ -1,5 +1,6 @@
 #include "core/cluster_snapshot.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "telemetry/metrics.h"
@@ -15,73 +16,207 @@ CGroupByResult Clusterer::Query(const std::vector<PointId>& q) {
 }
 
 std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
-    const Sources& sources, double eps_outer, uint64_t epoch) {
+    const Sources& sources, double eps_outer, uint64_t epoch,
+    GridFreezeState* state) {
   DDC_TRACE_SPAN("core.snapshot_build");
   DDC_HISTOGRAM_SCOPED("core.snapshot_build");
   DDC_COUNTER_INC("core.snapshot_builds");
   DDC_CHECK(sources.grid != nullptr && sources.is_core != nullptr &&
-            sources.cell_label != nullptr);
+            sources.cell_labels != nullptr && state != nullptr);
   const Grid& grid = *sources.grid;
-  std::shared_ptr<GridSnapshot> snap(new GridSnapshot(epoch));
   const int dim = grid.dim();
+  const size_t udim = static_cast<size_t>(dim);
+  const int num_cells = grid.num_cells();
+  const int64_t total = grid.total_inserted();
+  GridFreezeState& st = *state;
+
+  // Chunks accumulate the payloads of cells re-frozen since; once more than
+  // half of the chunked cells are stale copies, re-freeze everything into
+  // one chunk. Each compaction follows at least num_cells / 2 re-freezes,
+  // so it costs O(1) amortized per dirty cell.
+  if (st.chunked_cells_ > num_cells + num_cells / 2 + 1024) st.MarkAll();
+  const bool full = st.all_dirty_ || st.prev_ == nullptr;
+  const GridSnapshot* prev = full ? nullptr : st.prev_.get();
+
+  std::shared_ptr<GridSnapshot> snap(new GridSnapshot(epoch));
   snap->dim_ = dim;
   snap->eps_outer_sq_ = eps_outer * eps_outer;
+  snap->alive_ = grid.size();
 
-  // Pass 1 — cells: core members (packed coords), frozen CC label, box.
-  const int num_cells = grid.num_cells();
-  snap->cells_.resize(num_cells);
-  snap->cell_boxes_.resize(num_cells);
-  for (CellId c = 0; c < num_cells; ++c) {
-    CellRec& rec = snap->cells_[c];
-    rec.members_begin = static_cast<int32_t>(snap->member_coords_.size() /
-                                             static_cast<size_t>(dim));
-    const Cell& cell = grid.cell(c);
-    PointId first_core = kInvalidPoint;
-    for (size_t i = 0; i < cell.points.size(); ++i) {
-      const PointId p = cell.points[i];
-      if (!sources.is_core(p)) continue;
-      if (first_core == kInvalidPoint) first_core = p;
-      const double* coords = cell.coords.data() + i * dim;
-      snap->member_coords_.insert(snap->member_coords_.end(), coords,
-                                  coords + dim);
+  // Per-point arrays and the cell table: flat copies of the previous epoch,
+  // patched below where the clusterer marked changes.
+  std::vector<CellId> dirty;
+  if (full) {
+    snap->cell_of_.assign(static_cast<size_t>(total), -1);
+    snap->point_core_.assign(static_cast<size_t>(total), 0);
+    snap->point_coords_.assign(static_cast<size_t>(total) * udim, 0.0);
+    snap->cells_.assign(static_cast<size_t>(num_cells), CellRec{});
+    dirty.resize(static_cast<size_t>(num_cells));
+    for (CellId c = 0; c < num_cells; ++c) dirty[c] = c;
+    st.cell_dirty_.assign(static_cast<size_t>(num_cells), 1);
+    st.cell_chunk_.assign(static_cast<size_t>(num_cells), -1);
+    st.first_core_.assign(static_cast<size_t>(num_cells), kInvalidPoint);
+    st.chunk_live_.clear();
+    st.chunk_cells_.clear();
+    st.free_slots_.clear();
+    st.chunked_cells_ = 0;
+  } else {
+    auto copy_grown = [](const auto& from, auto* to, size_t n, auto fill) {
+      to->reserve(n);
+      to->assign(from.begin(), from.end());
+      to->resize(n, fill);
+    };
+    copy_grown(prev->cell_of_, &snap->cell_of_, static_cast<size_t>(total),
+               int32_t{-1});
+    copy_grown(prev->point_core_, &snap->point_core_,
+               static_cast<size_t>(total), uint8_t{0});
+    copy_grown(prev->point_coords_, &snap->point_coords_,
+               static_cast<size_t>(total) * udim, 0.0);
+    copy_grown(prev->cells_, &snap->cells_, static_cast<size_t>(num_cells),
+               CellRec{});
+    snap->chunks_ = prev->chunks_;
+    for (const PointId p : st.deleted_) {
+      snap->cell_of_[p] = -1;
+      snap->point_core_[p] = 0;
+      std::fill_n(snap->point_coords_.begin() + static_cast<size_t>(p) * udim,
+                  udim, 0.0);
     }
-    rec.members_end = static_cast<int32_t>(snap->member_coords_.size() /
-                                           static_cast<size_t>(dim));
-    if (first_core != kInvalidPoint) {
-      rec.label = sources.cell_label(c, first_core);
+    dirty.swap(st.dirty_cells_);
+    st.cell_dirty_.resize(static_cast<size_t>(num_cells), 0);
+    // Cells are only created by an insert, which marks them.
+    for (CellId c = static_cast<CellId>(prev->cells_.size()); c < num_cells;
+         ++c) {
+      DDC_DCHECK(st.cell_dirty_[c] != 0);
     }
-    snap->cell_boxes_[c] = grid.cell_box(c);
+    st.cell_chunk_.resize(static_cast<size_t>(num_cells), -1);
+    st.first_core_.resize(static_cast<size_t>(num_cells), kInvalidPoint);
   }
 
-  // Pass 2 — adjacency: each cell's ε-close *core* cells (non-core
-  // neighbors can never contribute a membership, so they are dropped at
-  // freeze time instead of per query).
-  for (CellId c = 0; c < num_cells; ++c) {
+  // Pass 1 — dirty cells' members: core-member coordinates into a fresh
+  // chunk, and the per-point bits and coordinates of every point they hold.
+  // A cell that gains its first or loses its last core member changes its
+  // neighbors' core-neighbor lists, so it drags them into the dirty set.
+  auto chunk = std::make_shared<CellChunk>();
+  struct Offsets {
+    int32_t members;
+    int32_t nbrs;
+  };
+  std::vector<Offsets> offsets;
+  offsets.reserve(dirty.size());
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    const CellId c = dirty[i];
+    const Cell& cell = grid.cell(c);
     CellRec& rec = snap->cells_[c];
-    rec.nbr_begin = static_cast<int32_t>(snap->core_neighbors_.size());
-    for (const CellId nb : grid.cell(c).neighbors) {
-      const CellRec& nrec = snap->cells_[nb];
-      if (nrec.members_begin < nrec.members_end) {
-        snap->core_neighbors_.push_back(nb);
+    const bool was_core = rec.num_members > 0;
+    const int32_t begin =
+        static_cast<int32_t>(chunk->members.size() / udim);
+    PointId first_core = kInvalidPoint;
+    for (size_t k = 0; k < cell.points.size(); ++k) {
+      const PointId p = cell.points[k];
+      const double* coords = cell.coords.data() + k * udim;
+      const bool core = sources.is_core(p);
+      snap->cell_of_[p] = c;
+      snap->point_core_[p] = core ? 1 : 0;
+      std::copy_n(coords, udim,
+                  snap->point_coords_.begin() + static_cast<size_t>(p) * udim);
+      if (!core) continue;
+      if (first_core == kInvalidPoint) first_core = p;
+      chunk->members.insert(chunk->members.end(), coords, coords + udim);
+    }
+    rec.num_members =
+        static_cast<int32_t>(chunk->members.size() / udim) - begin;
+    if (rec.num_members == 0) rec.label = 0;
+    st.first_core_[c] = first_core;
+    chunk->boxes.push_back(grid.cell_box(c));
+    offsets.push_back(Offsets{begin, 0});
+    if (!full && was_core != (rec.num_members > 0)) {
+      for (const CellId nb : cell.neighbors) {
+        if (st.cell_dirty_[nb] != 0) continue;
+        st.cell_dirty_[nb] = 1;
+        dirty.push_back(nb);
       }
     }
-    rec.nbr_end = static_cast<int32_t>(snap->core_neighbors_.size());
   }
 
-  // Pass 3 — points: alive/core bits, home cell, packed coordinates.
-  const int64_t total = grid.total_inserted();
-  snap->cell_of_.assign(total, -1);
-  snap->point_core_.assign(total, 0);
-  snap->point_coords_.resize(static_cast<size_t>(total) * dim);
-  snap->alive_ = grid.size();
-  for (PointId p = 0; p < total; ++p) {
-    if (!grid.alive(p)) continue;
-    snap->cell_of_[p] = grid.cell_of(p);
-    snap->point_core_[p] = sources.is_core(p) ? 1 : 0;
-    const Point& pt = grid.point(p);
-    double* out = snap->point_coords_.data() + static_cast<size_t>(p) * dim;
-    for (int k = 0; k < dim; ++k) out[k] = pt[k];
+  // Pass 2 — dirty cells' ε-close *core* cells (non-core neighbors can never
+  // contribute a membership, so they are dropped at freeze time instead of
+  // per query). Reads the final core status of every cell.
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    offsets[i].nbrs = static_cast<int32_t>(chunk->nbrs.size());
+    for (const CellId nb : grid.cell(dirty[i]).neighbors) {
+      if (snap->cells_[nb].num_members > 0) chunk->nbrs.push_back(nb);
+    }
   }
+
+  // The chunk is complete: point the dirty cells into it and settle the
+  // slot accounting (a slot no cell references any more is released; the
+  // snapshots still holding it keep it alive).
+  if (!dirty.empty()) {
+    int32_t slot;
+    if (!st.free_slots_.empty()) {
+      slot = st.free_slots_.back();
+      st.free_slots_.pop_back();
+    } else {
+      slot = static_cast<int32_t>(st.chunk_live_.size());
+      st.chunk_live_.push_back(0);
+      st.chunk_cells_.push_back(0);
+      snap->chunks_.emplace_back();
+    }
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      const CellId c = dirty[i];
+      CellRec& rec = snap->cells_[c];
+      const int32_t nbr_end = i + 1 < dirty.size()
+                                  ? offsets[i + 1].nbrs
+                                  : static_cast<int32_t>(chunk->nbrs.size());
+      rec.box = &chunk->boxes[i];
+      rec.members = chunk->members.data() +
+                    static_cast<size_t>(offsets[i].members) * udim;
+      rec.nbrs = chunk->nbrs.data() + offsets[i].nbrs;
+      rec.num_nbrs = nbr_end - offsets[i].nbrs;
+      const int32_t old = st.cell_chunk_[c];
+      if (old >= 0 && --st.chunk_live_[old] == 0) {
+        st.chunked_cells_ -= st.chunk_cells_[old];
+        st.chunk_cells_[old] = 0;
+        snap->chunks_[old].reset();
+        st.free_slots_.push_back(old);
+        DDC_COUNTER_INC("core.snapshot_chunks_released");
+      }
+      st.cell_chunk_[c] = slot;
+      st.cell_dirty_[c] = 0;
+    }
+    st.chunk_live_[slot] = static_cast<int32_t>(dirty.size());
+    st.chunk_cells_[slot] = static_cast<int32_t>(dirty.size());
+    st.chunked_cells_ += static_cast<int64_t>(dirty.size());
+    snap->chunks_[slot] = std::move(chunk);
+    DDC_COUNTER_INC("core.snapshot_chunks_built");
+  }
+  DDC_COUNTER_ADD("core.snapshot_cells_refrozen",
+                  static_cast<int64_t>(dirty.size()));
+  DDC_COUNTER_ADD("core.snapshot_cells_reused",
+                  num_cells - static_cast<int64_t>(dirty.size()));
+
+  // Pass 3 — labels of every core cell. Component ids are not stable across
+  // updates (a reroot anywhere in a tour can rename a component), so this
+  // one stays a full pass over the core cells.
+  std::vector<CellId> core_cells;
+  std::vector<PointId> first_core;
+  for (CellId c = 0; c < num_cells; ++c) {
+    if (snap->cells_[c].num_members == 0) continue;
+    core_cells.push_back(c);
+    first_core.push_back(st.first_core_[c]);
+  }
+  std::vector<uint64_t> labels(core_cells.size());
+  sources.cell_labels(core_cells, first_core, &labels);
+  for (size_t i = 0; i < core_cells.size(); ++i) {
+    snap->cells_[core_cells[i]].label = labels[i];
+  }
+
+  dirty.clear();
+  st.dirty_cells_.swap(dirty);  // Keeps the list's capacity.
+  st.deleted_.clear();
+  st.all_dirty_ = false;
+  st.frozen_points_ = total;
+  st.prev_ = snap;
   return snap;
 }
 

@@ -56,6 +56,72 @@ class ClusterSnapshot {
   uint64_t epoch_;
 };
 
+class GridSnapshot;
+
+/// What a clusterer keeps between GridSnapshot::Build calls so that a build
+/// re-freezes only what changed: the cells its update paths marked dirty
+/// since the previous build, the ids deleted since then, and the snapshot
+/// that build produced (whose clean cells and payload chunks the next build
+/// shares). A fresh state is all-dirty — the first build freezes everything,
+/// through the same routine. Owning thread only.
+class GridFreezeState {
+ public:
+  /// A point was inserted into cell `c`, or promoted or demoted in it. Called
+  /// by the insert/promote/demote paths; O(1).
+  void MarkCell(CellId c) {
+    if (all_dirty_) return;
+    if (static_cast<size_t>(c) >= cell_dirty_.size()) {
+      cell_dirty_.resize(static_cast<size_t>(c) + 1, 0);
+    }
+    if (cell_dirty_[c] != 0) return;
+    cell_dirty_[c] = 1;
+    dirty_cells_.push_back(c);
+  }
+
+  /// Point `p` was deleted from cell `c`. O(1); past one pending delete per
+  /// frozen id the next build is a full one, so an unqueried clusterer never
+  /// accumulates more than that.
+  void MarkDeleted(PointId p, CellId c) {
+    MarkCell(c);
+    if (all_dirty_) return;
+    deleted_.push_back(p);
+    if (static_cast<int64_t>(deleted_.size()) > frozen_points_ + 1024) {
+      MarkAll();
+    }
+  }
+
+ private:
+  friend class GridSnapshot;
+
+  /// Makes the next build a full one.
+  void MarkAll() {
+    all_dirty_ = true;
+    dirty_cells_.clear();
+    cell_dirty_.clear();
+    deleted_.clear();
+  }
+
+  bool all_dirty_ = true;
+  std::vector<uint8_t> cell_dirty_;  // Per cell: already in dirty_cells_.
+  std::vector<CellId> dirty_cells_;
+  std::vector<PointId> deleted_;
+  int64_t frozen_points_ = 0;  // Ids covered by prev_.
+
+  /// The last build, shared with whoever holds it (immutable).
+  std::shared_ptr<const GridSnapshot> prev_;
+  /// Per cell: the chunk slot holding its payload, and its first core
+  /// member (the label source's handle on the cell; kInvalidPoint when it
+  /// has none) as of prev_.
+  std::vector<int32_t> cell_chunk_;
+  std::vector<PointId> first_core_;
+  /// Per chunk slot of prev_: cells still referencing it, and cells it was
+  /// built with. A slot whose live count reaches zero is released.
+  std::vector<int32_t> chunk_live_;
+  std::vector<int32_t> chunk_cells_;
+  std::vector<int32_t> free_slots_;
+  int64_t chunked_cells_ = 0;  // Σ chunk_cells_ over occupied slots.
+};
+
 /// The frozen single-grid snapshot behind SemiDynamicClusterer,
 /// FullyDynamicClusterer and IncrementalDbscan (and, per shard, behind the
 /// sharded engine): per-point alive/core bits and packed coordinates, and
@@ -65,25 +131,42 @@ class ClusterSnapshot {
 /// every ε-close core cell whose frozen emptiness query (brute-force scan
 /// with the cell-box miss prefilter, radius (1+ρ)ε) certifies a proof —
 /// which is conforming for the Theorem 3 sandwich and exact at rho == 0.
+///
+/// Layout. Each cell's payload — its box, its packed core-member
+/// coordinates and its core-neighbor list — lives in an immutable CellChunk
+/// shared by every snapshot whose cell table points into it; the cell table
+/// and the per-point arrays are flat arrays copied from the previous epoch
+/// and patched where the clusterer marked changes (see GridFreezeState).
 class GridSnapshot final : public ClusterSnapshot {
  public:
-  /// What Build reads from the live clusterer. `cell_label(cell, p)` must
-  /// return the CC label of core cell `cell` (where `p` is one of its core
-  /// members — IncDBSCAN labels clusters through core points, the grid
-  /// clusterers through cells); it is called once per core cell and must be
-  /// a read-only lookup.
+  /// What Build reads from the live clusterer. Both callbacks must be
+  /// read-only lookups.
   struct Sources {
     const Grid* grid = nullptr;
+    /// Core bit of an alive point; asked only for the points of re-frozen
+    /// cells.
     std::function<bool(PointId)> is_core;
-    std::function<uint64_t(CellId, PointId)> cell_label;
+    /// Fills (*labels)[i] with the CC label of core cell cells[i], where
+    /// first_core[i] is one of its core members (IncDBSCAN labels clusters
+    /// through core points, the grid clusterers through cells). Called once
+    /// per build with every core cell.
+    std::function<void(const std::vector<CellId>& cells,
+                       const std::vector<PointId>& first_core,
+                       std::vector<uint64_t>* labels)>
+        cell_labels;
   };
 
-  /// Deep-freezes the query-relevant state. O(total points + cells + cell
-  /// adjacency); runs on the clusterer's owning thread while the structures
-  /// are quiescent.
+  /// Freezes the query-relevant state: re-freezes the cells `state` marks
+  /// dirty (all of them on a fresh state), shares every other cell's payload
+  /// with the previous build, recomputes every core cell's label, and
+  /// advances `state` to the result. Runs on the clusterer's owning thread
+  /// while the structures are quiescent. A snapshot built on a fresh state
+  /// is byte-for-byte the same as one built incrementally from the same
+  /// clusterer state (tests/incremental_freeze_test.cc).
   static std::shared_ptr<const GridSnapshot> Build(const Sources& sources,
                                                    double eps_outer,
-                                                   uint64_t epoch);
+                                                   uint64_t epoch,
+                                                   GridFreezeState* state);
 
   CGroupByResult Query(const std::vector<PointId>& q) const override;
 
@@ -122,13 +205,10 @@ class GridSnapshot final : public ClusterSnapshot {
     MembershipLabelSet assigned;
     auto consider = [&](int32_t cell) {
       const CellRec& r = cells_[cell];
-      if (r.members_begin == r.members_end) return;  // Not a core cell.
-      if (BoxMiss(cell, p)) return;
-      const double* m = member_coords_.data() +
-                        static_cast<size_t>(r.members_begin) *
-                            static_cast<size_t>(dim_);
+      if (r.num_members == 0) return;  // Not a core cell.
+      if (BoxMiss(r, p)) return;
       // Batched membership test over the frozen packed core members.
-      if (!AnyWithinPacked(p, m, r.members_end - r.members_begin, dim_,
+      if (!AnyWithinPacked(p, r.members, r.num_members, dim_,
                            eps_outer_sq_)) {
         return;
       }
@@ -136,31 +216,41 @@ class GridSnapshot final : public ClusterSnapshot {
     };
     consider(c);
     const CellRec& own = cells_[c];
-    for (int32_t i = own.nbr_begin; i < own.nbr_end; ++i) {
-      consider(core_neighbors_[i]);
-    }
+    for (int32_t i = 0; i < own.num_nbrs; ++i) consider(own.nbrs[i]);
   }
 
  private:
-  /// The persistence layer (persist/snapshot_io.cc) serializes and rebuilds
-  /// the frozen vectors directly — the on-disk sections mirror them 1:1.
+  /// The persistence layer (persist/snapshot_io.cc) flattens the chunks into
+  /// the on-disk sections and rebuilds a snapshot from them.
   friend class SnapshotIO;
 
+  /// Immutable payload of the cells re-frozen by one build (or loaded from
+  /// one file), in re-freeze order. Never modified once published, so the
+  /// cell table may point into it from any number of snapshots.
+  struct CellChunk {
+    std::vector<Box> boxes;
+    std::vector<double> members;  // Core members, packed, grouped by cell.
+    std::vector<int32_t> nbrs;    // ε-close core cells, grouped by cell.
+  };
+
+  /// One cell of the table: its frozen label and where its payload sits.
+  /// Plain data, copied wholesale from epoch to epoch.
   struct CellRec {
-    uint64_t label = 0;  // Valid when members_begin < members_end.
-    int32_t members_begin = 0;
-    int32_t members_end = 0;
-    int32_t nbr_begin = 0;
-    int32_t nbr_end = 0;
+    uint64_t label = 0;  // Valid when num_members > 0; else 0.
+    const Box* box = nullptr;
+    const double* members = nullptr;
+    const int32_t* nbrs = nullptr;
+    int32_t num_members = 0;
+    int32_t num_nbrs = 0;
   };
 
   explicit GridSnapshot(uint64_t epoch) : ClusterSnapshot(epoch) {}
 
   /// The emptiness miss prefilter of the live structures, on the frozen
-  /// cell box: O(d) certainty that no member of `cell` is within (1+ρ)ε.
+  /// cell box: O(d) certainty that no member of the cell is within (1+ρ)ε.
   /// Same formula and slack rule as BoxMiss in core/emptiness.cc.
-  bool BoxMiss(int32_t cell, const Point& p) const {
-    return cell_boxes_[cell].MinSquaredDistance(p, dim_) >
+  bool BoxMiss(const CellRec& r, const Point& p) const {
+    return r.box->MinSquaredDistance(p, dim_) >
            eps_outer_sq_ * (1 + kBoxPrefilterSlack);
   }
 
@@ -171,13 +261,13 @@ class GridSnapshot final : public ClusterSnapshot {
   // Per point, indexed by PointId in [0, total_inserted at freeze time).
   std::vector<int32_t> cell_of_;  // -1 = dead.
   std::vector<uint8_t> point_core_;
-  std::vector<double> point_coords_;  // Packed, dim doubles per point.
+  std::vector<double> point_coords_;  // Packed, dim per id; 0 when dead.
 
   // Per cell (same CellId indexing as the source grid).
   std::vector<CellRec> cells_;
-  std::vector<Box> cell_boxes_;
-  std::vector<double> member_coords_;  // Core members, grouped by cell.
-  std::vector<int32_t> core_neighbors_;  // ε-close core cells, per cell.
+  /// Owners of the payloads cells_ points into, by chunk slot (null slots
+  /// are free).
+  std::vector<std::shared_ptr<const CellChunk>> chunks_;
 };
 
 /// Publication slot for a shared_ptr: Store swaps the pointer in, Load

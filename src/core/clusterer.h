@@ -63,6 +63,16 @@ class Clusterer {
   /// and is null before the first publication.
   virtual std::shared_ptr<const ClusterSnapshot> CurrentSnapshot() const = 0;
 
+  /// The state Snapshot() freezes, frozen from scratch: nothing shared with
+  /// earlier epochs, the incremental freeze state left as it is. Serializes
+  /// byte-for-byte like Snapshot() and answers every query the same; it is
+  /// the reference the incremental freeze is tested against. The default
+  /// (clusterers that freeze from scratch anyway) is Snapshot(). Owning
+  /// thread only.
+  virtual std::shared_ptr<const ClusterSnapshot> FullSnapshot() {
+    return Snapshot();
+  }
+
   /// Answers a C-group-by query over the alive points in `q`: a thin
   /// wrapper over Snapshot()->Query(), so the owning thread and concurrent
   /// snapshot readers run the same code over the same frozen state.

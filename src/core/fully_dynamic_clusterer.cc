@@ -46,6 +46,7 @@ PointId FullyDynamicClusterer::Insert(const Point& p) {
     cells_.resize(grid_.num_cells());
     cc_->EnsureVertices(grid_.num_cells());
   }
+  freeze_.MarkCell(ins.cell);
   counter_.OnInsert(ins.id, ins.cell);
   tracker_.OnInsert(ins.id, ins.cell,
                     [this](PointId q, CellId c) { OnCorePromoted(q, c); });
@@ -63,6 +64,7 @@ void FullyDynamicClusterer::Delete(PointId id) {
     OnCoreDemoted(id, cell);
   }
   grid_.Delete(id);
+  freeze_.MarkDeleted(id, cell);
   counter_.OnDelete(id, cell);
   // Remaining points may demote now that the counts dropped.
   tracker_.OnDelete(id, cell,
@@ -106,6 +108,7 @@ void FullyDynamicClusterer::DestroyInstance(CellId a, CellId b,
 void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.promotions");
   if (core_observer_) core_observer_(p, true);
+  freeze_.MarkCell(cell);
   CellCoreState& s = State(cell);
   const bool was_core_cell = s.is_core_cell();
   s.core_set->Insert(p);
@@ -136,6 +139,7 @@ void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
 void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.demotions");
   if (core_observer_) core_observer_(p, false);
+  freeze_.MarkCell(cell);
   CellCoreState& s = State(cell);
   s.core_set->Remove(p);
 
@@ -161,21 +165,29 @@ void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
   }
 }
 
-std::shared_ptr<const ClusterSnapshot> FullyDynamicClusterer::Snapshot() {
-  return snapshot_cache_.GetOrBuild([this](uint64_t epoch) {
-    GridSnapshot::Sources sources;
-    sources.grid = &grid_;
-    sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
-    sources.cell_label = [this](CellId c, PointId) {
-      return cc_->ComponentIdReadOnly(c);
-    };
-    return GridSnapshot::Build(sources, params_.eps_outer(), epoch);
-  });
+std::shared_ptr<const GridSnapshot> FullyDynamicClusterer::Freeze(
+    uint64_t epoch, GridFreezeState* state) const {
+  GridSnapshot::Sources sources;
+  sources.grid = &grid_;
+  sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
+  sources.cell_labels = [this](const std::vector<CellId>& cells,
+                               const std::vector<PointId>&,
+                               std::vector<uint64_t>* labels) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      (*labels)[i] = cc_->ComponentIdReadOnly(cells[i]);
+    }
+  };
+  return GridSnapshot::Build(sources, params_.eps_outer(), epoch, state);
 }
 
-uint64_t FullyDynamicClusterer::CoreLabelOf(PointId p) {
-  DDC_DCHECK(tracker_.is_core(p));
-  return cc_->ComponentId(grid_.cell_of(p));
+std::shared_ptr<const ClusterSnapshot> FullyDynamicClusterer::Snapshot() {
+  return snapshot_cache_.GetOrBuild(
+      [this](uint64_t epoch) { return Freeze(epoch, &freeze_); });
+}
+
+std::shared_ptr<const ClusterSnapshot> FullyDynamicClusterer::FullSnapshot() {
+  GridFreezeState fresh;
+  return Freeze(snapshot_cache_.version(), &fresh);
 }
 
 std::vector<PointId> FullyDynamicClusterer::AlivePoints() const {

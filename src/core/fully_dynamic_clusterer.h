@@ -54,6 +54,7 @@ class FullyDynamicClusterer : public Clusterer {
   std::shared_ptr<const ClusterSnapshot> CurrentSnapshot() const override {
     return snapshot_cache_.Peek();
   }
+  std::shared_ptr<const ClusterSnapshot> FullSnapshot() override;
 
   std::vector<PointId> AlivePoints() const override;
   const DbscanParams& params() const override { return params_; }
@@ -75,13 +76,6 @@ class FullyDynamicClusterer : public Clusterer {
   using CoreObserver = std::function<void(PointId, bool)>;
   void set_core_observer(CoreObserver obs) { core_observer_ = std::move(obs); }
 
-  /// CC label of the cluster containing core point `p` (the component id of
-  /// its cell in the grid graph). Labels are stable between updates and
-  /// compare equal iff two core points share a cluster. `p` must be core.
-  /// The sharded engine's stitch rebuild keys on these; non-core
-  /// memberships are answered by GridSnapshot::ForEachMembershipLabel.
-  uint64_t CoreLabelOf(PointId p);
-
  private:
   /// GUM (Section 7.4).
   void OnCorePromoted(PointId p, CellId cell);
@@ -93,6 +87,11 @@ class FullyDynamicClusterer : public Clusterer {
   void DestroyInstance(CellId a, CellId b, int32_t instance);
 
   void SetEdge(CellId a, CellId b, bool present);
+
+  /// GridSnapshot::Build over this clusterer's state: through freeze_ for
+  /// Snapshot(), through a fresh (all-dirty) state for FullSnapshot().
+  std::shared_ptr<const GridSnapshot> Freeze(uint64_t epoch,
+                                             GridFreezeState* state) const;
 
   DbscanParams params_;
   Options options_;
@@ -110,6 +109,7 @@ class FullyDynamicClusterer : public Clusterer {
   CoreObserver core_observer_;
   int64_t num_edges_ = 0;
   SnapshotCache snapshot_cache_;
+  GridFreezeState freeze_;
 };
 
 }  // namespace ddc

@@ -51,6 +51,7 @@ void IncrementalDbscan::LabelNewCore(PointId p,
 
 PointId IncrementalDbscan::Insert(const Point& p) {
   const Grid::InsertResult ins = grid_.Insert(p);
+  freeze_.MarkCell(ins.cell);
   neighbor_count_.push_back(0);
   cluster_id_.push_back(-1);
 
@@ -62,7 +63,10 @@ PointId IncrementalDbscan::Insert(const Point& p) {
   std::vector<PointId> new_cores;
   for (const PointId q : seeds) {
     if (q == ins.id) continue;
-    if (++neighbor_count_[q] == params_.min_pts) new_cores.push_back(q);
+    if (++neighbor_count_[q] == params_.min_pts) {
+      new_cores.push_back(q);
+      freeze_.MarkCell(grid_.cell_of(q));
+    }
   }
   if (is_core(ins.id)) new_cores.push_back(ins.id);
 
@@ -86,9 +90,11 @@ void IncrementalDbscan::Delete(PointId id) {
   // Decrement counts; demoted cores keep their stale cluster_id_ for a
   // moment — that is how they are recognized below.
   for (const PointId q : seeds) {
-    if (q != id) --neighbor_count_[q];
+    if (q != id && --neighbor_count_[q] == params_.min_pts - 1) {
+      freeze_.MarkCell(grid_.cell_of(q));  // Demoted.
+    }
   }
-  grid_.Delete(id);
+  freeze_.MarkDeleted(id, grid_.Delete(id));
   neighbor_count_[id] = 0;
   cluster_id_[id] = -1;
 
@@ -204,17 +210,30 @@ std::shared_ptr<const ClusterSnapshot> IncrementalDbscan::Snapshot() {
   // formulation is equivalent because any two core points sharing a cell
   // (side ε/√d) are within ε of each other and hence share a cluster in
   // exact DBSCAN — one label per cell covers all of its core members.
-  return snapshot_cache_.GetOrBuild([this](uint64_t epoch) {
-    GridSnapshot::Sources sources;
-    sources.grid = &grid_;
-    sources.is_core = [this](PointId p) { return is_core(p); };
-    sources.cell_label = [this](CellId, PointId first_core) {
-      DDC_DCHECK(cluster_id_[first_core] >= 0);
-      return static_cast<uint64_t>(
-          merge_history_.FindReadOnly(cluster_id_[first_core]));
-    };
-    return GridSnapshot::Build(sources, params_.eps, epoch);
-  });
+  return snapshot_cache_.GetOrBuild(
+      [this](uint64_t epoch) { return Freeze(epoch, &freeze_); });
+}
+
+std::shared_ptr<const ClusterSnapshot> IncrementalDbscan::FullSnapshot() {
+  GridFreezeState fresh;
+  return Freeze(snapshot_cache_.version(), &fresh);
+}
+
+std::shared_ptr<const GridSnapshot> IncrementalDbscan::Freeze(
+    uint64_t epoch, GridFreezeState* state) const {
+  GridSnapshot::Sources sources;
+  sources.grid = &grid_;
+  sources.is_core = [this](PointId p) { return is_core(p); };
+  sources.cell_labels = [this](const std::vector<CellId>& cells,
+                               const std::vector<PointId>& first_core,
+                               std::vector<uint64_t>* labels) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      DDC_DCHECK(cluster_id_[first_core[i]] >= 0);
+      (*labels)[i] = static_cast<uint64_t>(
+          merge_history_.FindReadOnly(cluster_id_[first_core[i]]));
+    }
+  };
+  return GridSnapshot::Build(sources, params_.eps, epoch, state);
 }
 
 std::vector<PointId> IncrementalDbscan::AlivePoints() const {

@@ -41,6 +41,7 @@ class IncrementalDbscan : public Clusterer {
   std::shared_ptr<const ClusterSnapshot> CurrentSnapshot() const override {
     return snapshot_cache_.Peek();
   }
+  std::shared_ptr<const ClusterSnapshot> FullSnapshot() override;
 
   std::vector<PointId> AlivePoints() const override;
   const DbscanParams& params() const override { return params_; }
@@ -54,6 +55,11 @@ class IncrementalDbscan : public Clusterer {
   const Grid& grid() const { return grid_; }
 
  private:
+  /// GridSnapshot::Build over this clusterer's state: through freeze_ for
+  /// Snapshot(), through a fresh (all-dirty) state for FullSnapshot().
+  std::shared_ptr<const GridSnapshot> Freeze(uint64_t epoch,
+                                             GridFreezeState* state) const;
+
   /// All alive points within eps of `center` (one "range query", the
   /// algorithm's cost unit).
   std::vector<PointId> RangeQuery(const Point& center);
@@ -75,6 +81,7 @@ class IncrementalDbscan : public Clusterer {
   UnionFind merge_history_;              // Over cluster ids.
   int64_t range_queries_ = 0;
   SnapshotCache snapshot_cache_;
+  GridFreezeState freeze_;
 };
 
 }  // namespace ddc

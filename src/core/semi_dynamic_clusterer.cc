@@ -33,6 +33,7 @@ EmptinessStructure* SemiDynamicClusterer::CoreSet(CellId c) {
 
 PointId SemiDynamicClusterer::Insert(const Point& p) {
   const Grid::InsertResult ins = grid_.Insert(p);
+  freeze_.MarkCell(ins.cell);
   uf_.EnsureSize(grid_.num_cells());
   tracker_.OnInsert(ins.id, ins.cell,
                     [this](PointId q, CellId c) { OnNewCore(q, c); });
@@ -45,6 +46,7 @@ void SemiDynamicClusterer::Delete(PointId /*id*/) {
 }
 
 void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
+  freeze_.MarkCell(cell);
   CoreSet(cell)->Insert(p);
   const Point& pt = grid_.point(p);
   // GUM: try to materialize an edge to every ε-close core cell that has no
@@ -63,16 +65,29 @@ void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
   }
 }
 
+std::shared_ptr<const GridSnapshot> SemiDynamicClusterer::Freeze(
+    uint64_t epoch, GridFreezeState* state) const {
+  GridSnapshot::Sources sources;
+  sources.grid = &grid_;
+  sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
+  sources.cell_labels = [this](const std::vector<CellId>& cells,
+                               const std::vector<PointId>&,
+                               std::vector<uint64_t>* labels) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      (*labels)[i] = static_cast<uint64_t>(uf_.FindReadOnly(cells[i]));
+    }
+  };
+  return GridSnapshot::Build(sources, params_.eps_outer(), epoch, state);
+}
+
 std::shared_ptr<const ClusterSnapshot> SemiDynamicClusterer::Snapshot() {
-  return snapshot_cache_.GetOrBuild([this](uint64_t epoch) {
-    GridSnapshot::Sources sources;
-    sources.grid = &grid_;
-    sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
-    sources.cell_label = [this](CellId c, PointId) {
-      return static_cast<uint64_t>(uf_.FindReadOnly(c));
-    };
-    return GridSnapshot::Build(sources, params_.eps_outer(), epoch);
-  });
+  return snapshot_cache_.GetOrBuild(
+      [this](uint64_t epoch) { return Freeze(epoch, &freeze_); });
+}
+
+std::shared_ptr<const ClusterSnapshot> SemiDynamicClusterer::FullSnapshot() {
+  GridFreezeState fresh;
+  return Freeze(snapshot_cache_.version(), &fresh);
 }
 
 std::vector<PointId> SemiDynamicClusterer::AlivePoints() const {

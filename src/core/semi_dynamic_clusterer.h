@@ -43,6 +43,7 @@ class SemiDynamicClusterer : public Clusterer {
   std::shared_ptr<const ClusterSnapshot> CurrentSnapshot() const override {
     return snapshot_cache_.Peek();
   }
+  std::shared_ptr<const ClusterSnapshot> FullSnapshot() override;
 
   std::vector<PointId> AlivePoints() const override;
   const DbscanParams& params() const override { return params_; }
@@ -54,6 +55,11 @@ class SemiDynamicClusterer : public Clusterer {
   const Grid& grid() const { return grid_; }
 
  private:
+  /// GridSnapshot::Build over this clusterer's state: through freeze_ for
+  /// Snapshot(), through a fresh (all-dirty) state for FullSnapshot().
+  std::shared_ptr<const GridSnapshot> Freeze(uint64_t epoch,
+                                             GridFreezeState* state) const;
+
   /// GUM (Section 5): a point just became core in `cell`.
   void OnNewCore(PointId p, CellId cell);
 
@@ -72,6 +78,7 @@ class SemiDynamicClusterer : public Clusterer {
   std::vector<int32_t> core_slots_;
   FlatHashSet<uint64_t> edges_;
   SnapshotCache snapshot_cache_;
+  GridFreezeState freeze_;
 };
 
 }  // namespace ddc

@@ -177,27 +177,31 @@ void ShardedClusterer::EnqueueOp(Shard& shard, const Op& op) {
 
 void ShardedClusterer::PublishShard(Shard& shard) {
   if (shard.open.empty()) return;
+  bool was_empty;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
+    was_empty = shard.pending.empty();
     shard.pending.push_back(std::move(shard.open));
     const int64_t depth = static_cast<int64_t>(shard.pending.size());
     if (depth > shard.queue_hwm) shard.queue_hwm = depth;
   }
   shard.open.clear();
-  pool_->Submit(shard.worker, [this, s = &shard] { ProcessShard(s); });
+  // A non-empty queue already has a task coming that will take this batch
+  // along with the rest.
+  if (was_empty) {
+    pool_->Submit(shard.worker, [this, s = &shard] { ProcessShard(s); });
+  }
 }
 
 void ShardedClusterer::ProcessShard(Shard* shard) {
-  // One task is submitted per published batch, so normally this pops exactly
-  // one; the loop also mops up if a prior task consumed several.
-  for (;;) {
-    std::vector<Op> batch;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      if (shard->pending.empty()) return;
-      batch = std::move(shard->pending.front());
-      shard->pending.erase(shard->pending.begin());
-    }
+  // Takes every batch queued so far in one swap; batches published after it
+  // find the queue empty and submit the next task.
+  std::vector<std::vector<Op>> batches;
+  {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    batches.swap(shard->pending);
+  }
+  for (const std::vector<Op>& batch : batches) {
     DDC_TRACE_SPAN("engine.shard_batch");
     const auto t0 = std::chrono::steady_clock::now();
     for (const Op& op : batch) ApplyOp(*shard, op);
@@ -281,16 +285,46 @@ void ShardedClusterer::Flush() {
       shard->dirty = false;
     }
   }
-  if (dirty) {
-    RebuildLabels();
-    // The rebalance controller acts between the label rebuild and snapshot
-    // publication: a topology change replays its migrants, resets the
-    // stitcher, and gets a second rebuild, so the snapshot below is always
-    // one consistent epoch — readers never see a torn routing map.
-    if (MaybeRebalance()) RebuildLabels();
+  if (!dirty && published_.Load() != nullptr) return;
+
+  // The rebalance controller acts before anything is frozen: a topology
+  // change replays its migrants into fresh shards and resets the stitcher,
+  // and the steps below then freeze, stitch and compose the new topology as
+  // one consistent epoch — readers never see a torn routing map.
+  if (dirty) MaybeRebalance();
+
+  // Freeze, then stitch from the frozen shard labels — exactly the labels
+  // readers resolve — then compose. The freeze stays on this thread: the
+  // workers are idle here, but spreading it over them would trade CPU time
+  // for a shorter barrier.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  FreezeShards();
+  const Clock::time_point t1 = Clock::now();
+  if (dirty) RebuildLabels();
+  const Clock::time_point t2 = Clock::now();
+  {
+    DDC_TRACE_SPAN("engine.snapshot_compose");
+    DDC_COUNTER_INC("engine.snapshot_publications");
+    published_.Store(Compose(frozen_, stitcher_.table()));
   }
-  if (dirty || published_.Load() == nullptr) {
-    PublishSnapshot();
+  const Clock::time_point t3 = Clock::now();
+  auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  DDC_HISTOGRAM_RECORD("engine.snapshot_freeze", us(t1 - t0));
+  DDC_HISTOGRAM_RECORD("engine.snapshot_compose", us(t3 - t2));
+  DDC_HISTOGRAM_RECORD("engine.snapshot_publish", us((t1 - t0) + (t3 - t2)));
+}
+
+void ShardedClusterer::FreezeShards() {
+  DDC_TRACE_SPAN("engine.snapshot_freeze");
+  // Shards that applied nothing since their last freeze hand back their
+  // cached snapshot.
+  frozen_.clear();
+  for (auto& shard : shards_) {
+    frozen_.push_back(std::static_pointer_cast<const GridSnapshot>(
+        shard->clusterer->Snapshot()));
   }
 }
 
@@ -300,10 +334,11 @@ void ShardedClusterer::RebuildLabels() {
   // table goes into a fresh object — snapshots of older epochs keep
   // resolving against theirs.
   DDC_TRACE_SPAN("engine.stitch_rebuild");
+  DDC_HISTOGRAM_SCOPED("engine.stitch_rebuild");
   DDC_COUNTER_INC("engine.stitch_rebuilds");
   stitcher_.Rebuild(
       [this](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
-        LabelsOf(gid, out);
+        LabelsOf(frozen_, gid, out);
       });
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -593,8 +628,8 @@ bool ShardedClusterer::MergeShards(int left) {
 
   int64_t moved = 0;
   for (const Migrant& m : migrants) {
-    const PointRec& rec = points_[m.gid];
-    DDC_DCHECK(rec.first_holder <= left && left <= rec.last_holder);
+    DDC_DCHECK(points_[m.gid].first_holder <= left &&
+               left <= points_[m.gid].last_holder);
     ApplyMigration(*shards_[left], m.gid, m.point);
     ++moved;
   }
@@ -633,32 +668,17 @@ void ShardedClusterer::ResetStitcher() {
 
 // --------------------------------------------------------------------------
 
-void ShardedClusterer::PublishSnapshot() {
-  DDC_TRACE_SPAN("engine.publish_snapshot");
-  DDC_HISTOGRAM_SCOPED("engine.snapshot_publish");
-  DDC_COUNTER_INC("engine.snapshot_publications");
-  // Workers are quiescent (post-drain): freeze each shard's query state —
-  // the per-shard snapshot caches make this cheap for shards that applied
-  // nothing since their last freeze — plus this epoch's stitch table and
-  // the routing records, and swap the composite in atomically.
-  std::vector<std::shared_ptr<const GridSnapshot>> shard_snaps;
+std::shared_ptr<const ShardedSnapshot> ShardedClusterer::Compose(
+    std::vector<std::shared_ptr<const GridSnapshot>> shards,
+    std::shared_ptr<const BoundaryStitcher::LabelTable> table) const {
+  // Workers are quiescent (post-drain): the frozen shards, this epoch's
+  // stitch table and the routing records make one self-contained epoch.
   std::vector<FlatHashMap<PointId, PointId>> local_of;
-  shard_snaps.reserve(shards_.size());
   local_of.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    shard_snaps.push_back(std::static_pointer_cast<const GridSnapshot>(
-        shard->clusterer->Snapshot()));
-    local_of.push_back(shard->local_of);
-  }
-  std::vector<ShardedSnapshot::GidRec> recs(points_.size());
-  for (size_t gid = 0; gid < points_.size(); ++gid) {
-    const PointRec& rec = points_[gid];
-    recs[gid] = ShardedSnapshot::GidRec{rec.owner, rec.first_holder,
-                                        rec.last_holder, rec.alive};
-  }
-  published_.Store(std::make_shared<const ShardedSnapshot>(
-      epoch(), std::move(recs), alive_, std::move(shard_snaps),
-      std::move(local_of), stitcher_.table()));
+  for (const auto& shard : shards_) local_of.push_back(shard->local_of);
+  return std::make_shared<const ShardedSnapshot>(
+      epoch(), points_, alive_, std::move(shards), std::move(local_of),
+      std::move(table));
 }
 
 std::shared_ptr<const ClusterSnapshot> ShardedClusterer::Snapshot() {
@@ -666,16 +686,31 @@ std::shared_ptr<const ClusterSnapshot> ShardedClusterer::Snapshot() {
   return published_.Load();
 }
 
-void ShardedClusterer::LabelsOf(PointId gid,
-                                std::vector<BoundaryStitcher::LabelKey>* out) {
+std::shared_ptr<const ClusterSnapshot> ShardedClusterer::FullSnapshot() {
+  Flush();
+  std::vector<std::shared_ptr<const GridSnapshot>> fresh;
+  for (auto& shard : shards_) {
+    fresh.push_back(std::static_pointer_cast<const GridSnapshot>(
+        shard->clusterer->FullSnapshot()));
+  }
+  std::shared_ptr<const BoundaryStitcher::LabelTable> table =
+      stitcher_.BuildTable(
+          [&](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
+            LabelsOf(fresh, gid, out);
+          });
+  return Compose(std::move(fresh), std::move(table));
+}
+
+void ShardedClusterer::LabelsOf(
+    const std::vector<std::shared_ptr<const GridSnapshot>>& shards,
+    PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) const {
   const PointRec& rec = points_[gid];
   auto push = [&](int t) {
-    Shard& s = *shards_[t];
-    const PointId* local = s.local_of.Find(gid);
+    const PointId* local = shards_[t]->local_of.Find(gid);
     DDC_CHECK(local != nullptr);
-    if (s.clusterer->is_core(*local)) {
-      out->push_back(BoundaryStitcher::LabelKey{
-          t, s.clusterer->CoreLabelOf(*local)});
+    const GridSnapshot& s = *shards[t];
+    if (s.is_core(*local)) {
+      out->push_back(BoundaryStitcher::LabelKey{t, s.CoreLabelOf(*local)});
     }
   };
   push(rec.owner);  // Owner first; owner-core is the registration invariant.

@@ -36,10 +36,11 @@ namespace ddc {
 /// replays in order, so shards=1 reproduces the unsharded engine verbatim —
 /// same op stream, same structures, same don't-care decisions.
 ///
-/// Queries. Every Flush that applied work rebuilds the stitch table — a
-/// union-find over shard-local component labels, fed by the incrementally
-/// maintained boundary core-core edge set (see BoundaryStitcher) — then
-/// composes a ShardedSnapshot (per-shard frozen GridSnapshots + the stitch
+/// Queries. Every Flush that applied work freezes each shard (re-freezing
+/// only the cells that changed, see GridSnapshot), rebuilds the stitch
+/// table from those frozen labels — a union-find over shard-local component
+/// labels, fed by the incrementally maintained boundary core-core edge set
+/// (see BoundaryStitcher) — then composes a ShardedSnapshot (per-shard frozen GridSnapshots + the stitch
 /// label table + routing records) and publishes it by an atomic shared_ptr
 /// swap: one immutable epoch, readable lock-free from any number of
 /// threads while further updates flow. Query/ClusterIdOf/SameCluster are
@@ -133,6 +134,10 @@ class ShardedClusterer : public Clusterer {
   /// Flush + the published snapshot of the resulting epoch.
   std::shared_ptr<const ClusterSnapshot> Snapshot() override;
 
+  /// Flush + the same epoch composed from per-shard snapshots frozen from
+  /// scratch, with a label table built from them (nothing published).
+  std::shared_ptr<const ClusterSnapshot> FullSnapshot() override;
+
   /// The latest published epoch: safe from any thread, concurrently with
   /// ingest and the workers; null before the first Flush.
   std::shared_ptr<const ClusterSnapshot> CurrentSnapshot() const override {
@@ -141,8 +146,9 @@ class ShardedClusterer : public Clusterer {
 
   /// Publishes pending batches, blocks until every shard applied its stream,
   /// folds the boundary core deltas into the stitcher, and — when anything
-  /// changed — rebuilds the stitch label table for a new epoch and publishes
-  /// a fresh ShardedSnapshot.
+  /// changed — lets the rebalance controller act, freezes every shard,
+  /// rebuilds the stitch label table from the frozen shard labels for a new
+  /// epoch, and publishes a fresh ShardedSnapshot.
   void Flush() override;
 
   std::vector<PointId> AlivePoints() const override;
@@ -222,8 +228,11 @@ class ShardedClusterer : public Clusterer {
     // Ingest side (caller thread only).
     std::vector<Op> open;
 
-    // The MPSC batch queue. queue_hwm is the deepest `pending` has ever
-    // been, sampled at publish time (ingest thread, under mu).
+    // The MPSC batch queue: published batches wait in `pending` until the
+    // shard's worker swaps the whole list out. A task is submitted only when
+    // `pending` goes from empty to non-empty, and each task consumes all of
+    // it. queue_hwm is the deepest `pending` has ever been, in batches,
+    // sampled at publish time (ingest thread, under mu).
     std::mutex mu;
     std::vector<std::vector<Op>> pending;
     int64_t queue_hwm = 0;
@@ -244,13 +253,9 @@ class ShardedClusterer : public Clusterer {
     bool dirty = false;  // Applied ops since the last stitch rebuild.
   };
 
-  /// Global per-point record (caller thread only).
-  struct PointRec {
-    uint8_t owner = 0;
-    uint8_t first_holder = 0;
-    uint8_t last_holder = 0;
-    bool alive = false;
-  };
+  /// Global per-point record (caller thread only). The snapshot's frozen
+  /// routing record, so composing an epoch copies the vector wholesale.
+  using PointRec = ShardedSnapshot::GidRec;
 
   /// A live point frozen out of a shard about to be replaced: the payload
   /// replayed into the successor shard(s).
@@ -267,13 +272,20 @@ class ShardedClusterer : public Clusterer {
   void ApplyOp(Shard& shard, const Op& op);
   /// Fixes the partition from the warmup buffer and replays it in order.
   void FinishWarmup();
-  /// Labels callback for BoundaryStitcher::Rebuild.
-  void LabelsOf(PointId gid, std::vector<BoundaryStitcher::LabelKey>* out);
-  /// Composes and publishes the ShardedSnapshot of the current epoch.
-  /// Requires quiescent workers (call right after the drain barrier).
-  void PublishSnapshot();
-  /// Rebuilds the stitch label table and bumps the epoch.
+  /// Labels callback for BoundaryStitcher: the keys of `gid` in the frozen
+  /// shard snapshots `shards` (one per slab, this epoch).
+  void LabelsOf(const std::vector<std::shared_ptr<const GridSnapshot>>& shards,
+                PointId gid,
+                std::vector<BoundaryStitcher::LabelKey>* out) const;
+  /// Freezes every shard's query state into frozen_. Requires quiescent
+  /// workers (call after the drain barrier).
+  void FreezeShards();
+  /// Rebuilds the stitch label table from frozen_ and bumps the epoch.
   void RebuildLabels();
+  /// The ShardedSnapshot of the current epoch over `shards` and `table`.
+  std::shared_ptr<const ShardedSnapshot> Compose(
+      std::vector<std::shared_ptr<const GridSnapshot>> shards,
+      std::shared_ptr<const BoundaryStitcher::LabelTable> table) const;
 
   // --- Elastic rebalancing (ingest thread, workers quiescent). ---
 
@@ -330,6 +342,9 @@ class ShardedClusterer : public Clusterer {
 
   BoundaryStitcher stitcher_;
   std::atomic<uint64_t> epoch_{0};
+  /// The per-shard snapshots of the current epoch (ingest thread), aligned
+  /// with shards_ from FreezeShards until the next topology change.
+  std::vector<std::shared_ptr<const GridSnapshot>> frozen_;
 
   /// Rebalance controller state (ingest thread only).
   int next_shard_id_ = 0;
@@ -341,8 +356,8 @@ class ShardedClusterer : public Clusterer {
   int64_t merges_ = 0;
   int64_t last_imbalance_milli_ = 1000;
 
-  /// The read side: the latest composed epoch, swapped in by
-  /// PublishSnapshot and loaded by readers (see SharedPtrSlot). Replaces
+  /// The read side: the latest composed epoch, swapped in by Flush and
+  /// loaded by readers (see SharedPtrSlot). Replaces
   /// the former reader-writer gate on the query path — no lock is ever
   /// held while a reader resolves labels.
   SharedPtrSlot<const ShardedSnapshot> published_;

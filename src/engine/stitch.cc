@@ -100,9 +100,10 @@ int32_t BoundaryStitcher::InternKey(LabelTable& table, UnionFind& uf,
   return *idx;
 }
 
-void BoundaryStitcher::Rebuild(
-    const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of) {
-  DDC_HISTOGRAM_SCOPED("engine.stitch_rebuild");
+std::shared_ptr<const BoundaryStitcher::LabelTable>
+BoundaryStitcher::BuildTable(
+    const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of)
+    const {
   // A fresh table per epoch: snapshots holding the previous one keep
   // resolving against their own frozen epoch.
   auto table = std::make_shared<LabelTable>();
@@ -140,7 +141,7 @@ void BoundaryStitcher::Rebuild(
   for (int32_t i = 0; i < static_cast<int32_t>(table->root_.size()); ++i) {
     table->root_[i] = uf.Find(i);
   }
-  table_ = std::move(table);
+  return table;
 }
 
 }  // namespace ddc

@@ -147,7 +147,14 @@ class BoundaryStitcher {
   /// rule), and every cross-shard edge unions its endpoints' owner keys
   /// (edge rule).
   void Rebuild(
-      const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of);
+      const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of) {
+    table_ = BuildTable(labels_of);
+  }
+
+  /// The table Rebuild would install, without installing it.
+  std::shared_ptr<const LabelTable> BuildTable(
+      const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of)
+      const;
 
   /// Canonical label for shard-local component `cc` of `shard`, as of the
   /// last Rebuild (identity before the first one).

@@ -64,6 +64,7 @@ void AppendF64s(std::string& out, const double* v, size_t n) {
 }
 
 void ReadI32s(const unsigned char* p, size_t n, int32_t* out) {
+  if (n == 0) return;  // `out` may be the null data() of an empty vector.
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out, p, n * 4);
   } else {
@@ -74,6 +75,7 @@ void ReadI32s(const unsigned char* p, size_t n, int32_t* out) {
 }
 
 void ReadF64s(const unsigned char* p, size_t n, double* out) {
+  if (n == 0) return;  // `out` may be the null data() of an empty vector.
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out, p, n * 8);
   } else {
@@ -105,8 +107,14 @@ class SectionBuilder {
     j.EndArray();
   }
 
-  void AppendPayloads(std::string& out) const {
-    for (const auto& s : sections_) out.append(s.payload);
+  void WritePayloads(WritableFile& out) const {
+    for (const auto& s : sections_) out.Append(s.payload);
+  }
+
+  size_t payload_bytes() const {
+    size_t n = 0;
+    for (const auto& s : sections_) n += s.payload.size();
+    return n;
   }
 
  private:
@@ -266,41 +274,37 @@ class SnapshotIO {
       AppendF64s(s, g.point_coords_.data(), g.point_coords_.size());
       b.Add(prefix + "point_coords", std::move(s));
     }
-    {
-      // CellRec: u64 label + 4x i32, 24 bytes, explicitly composed (never
-      // memcpy'd as a struct — padding and field order stay nailed down).
-      std::string s;
-      s.reserve(g.cells_.size() * 24);
-      for (const auto& c : g.cells_) {
-        AppendLe64(s, c.label);
-        AppendLe32(s, static_cast<uint32_t>(c.members_begin));
-        AppendLe32(s, static_cast<uint32_t>(c.members_end));
-        AppendLe32(s, static_cast<uint32_t>(c.nbr_begin));
-        AppendLe32(s, static_cast<uint32_t>(c.nbr_end));
-      }
-      b.Add(prefix + "cells", std::move(s));
-    }
-    {
+    // The per-cell payloads are flattened in cell order, whichever chunks
+    // they sit in: the file holds the logical snapshot, so an incrementally
+    // frozen one and one frozen from scratch serialize to the same bytes.
+    // Cell record: u64 label + members [begin, end) + core neighbors
+    // [begin, end) as 4x i32, 24 bytes, explicitly composed (never memcpy'd
+    // as a struct — padding and field order stay nailed down).
+    const size_t dim = static_cast<size_t>(g.dim_);
+    std::string cells, boxes, members, nbrs;
+    cells.reserve(g.cells_.size() * 24);
+    boxes.reserve(g.cells_.size() * 2 * kMaxDim * 8);
+    int32_t member_at = 0;
+    int32_t nbr_at = 0;
+    for (const auto& c : g.cells_) {
+      AppendLe64(cells, c.label);
+      AppendLe32(cells, static_cast<uint32_t>(member_at));
+      AppendLe32(cells, static_cast<uint32_t>(member_at + c.num_members));
+      AppendLe32(cells, static_cast<uint32_t>(nbr_at));
+      AppendLe32(cells, static_cast<uint32_t>(nbr_at + c.num_nbrs));
+      member_at += c.num_members;
+      nbr_at += c.num_nbrs;
       // Box: lo then hi, all kMaxDim coordinates (padding included — the
       // round trip is bit-exact by construction).
-      std::string s;
-      s.reserve(g.cell_boxes_.size() * 2 * kMaxDim * 8);
-      for (const Box& box : g.cell_boxes_) {
-        AppendF64s(s, box.lo().data(), kMaxDim);
-        AppendF64s(s, box.hi().data(), kMaxDim);
-      }
-      b.Add(prefix + "cell_boxes", std::move(s));
+      AppendF64s(boxes, c.box->lo().data(), kMaxDim);
+      AppendF64s(boxes, c.box->hi().data(), kMaxDim);
+      AppendF64s(members, c.members, static_cast<size_t>(c.num_members) * dim);
+      AppendI32s(nbrs, c.nbrs, static_cast<size_t>(c.num_nbrs));
     }
-    {
-      std::string s;
-      AppendF64s(s, g.member_coords_.data(), g.member_coords_.size());
-      b.Add(prefix + "member_coords", std::move(s));
-    }
-    {
-      std::string s;
-      AppendI32s(s, g.core_neighbors_.data(), g.core_neighbors_.size());
-      b.Add(prefix + "core_neighbors", std::move(s));
-    }
+    b.Add(prefix + "cells", std::move(cells));
+    b.Add(prefix + "cell_boxes", std::move(boxes));
+    b.Add(prefix + "member_coords", std::move(members));
+    b.Add(prefix + "core_neighbors", std::move(nbrs));
   }
 
   static void SaveGrid(JsonWriter& j, SectionBuilder& b,
@@ -461,13 +465,19 @@ class SnapshotIO {
       p = reinterpret_cast<const unsigned char*>(s->data());
       ReadF64s(p, g->point_coords_.size(), g->point_coords_.data());
     }
+    // The whole payload of a loaded snapshot is one chunk.
+    auto chunk = std::make_shared<GridSnapshot::CellChunk>();
+    struct FlatCell {
+      uint64_t label;
+      int32_t members_begin, members_end, nbr_begin, nbr_end;
+    };
+    std::vector<FlatCell> flat(static_cast<size_t>(num_cells));
     {
       auto s = section("cells", 24);
       if (!s || !expect_count("cells", *s, 24, num_cells)) return nullptr;
-      g->cells_.resize(static_cast<size_t>(num_cells));
       p = reinterpret_cast<const unsigned char*>(s->data());
-      for (size_t i = 0; i < g->cells_.size(); ++i) {
-        auto& c = g->cells_[i];
+      for (size_t i = 0; i < flat.size(); ++i) {
+        FlatCell& c = flat[i];
         c.label = ReadLe64(p + i * 24);
         c.members_begin = static_cast<int32_t>(ReadLe32(p + i * 24 + 8));
         c.members_end = static_cast<int32_t>(ReadLe32(p + i * 24 + 12));
@@ -480,15 +490,15 @@ class SnapshotIO {
       if (!s || !expect_count("cell_boxes", *s, 2 * kMaxDim * 8, num_cells)) {
         return nullptr;
       }
-      g->cell_boxes_.resize(static_cast<size_t>(num_cells));
+      chunk->boxes.resize(static_cast<size_t>(num_cells));
       p = reinterpret_cast<const unsigned char*>(s->data());
-      for (size_t i = 0; i < g->cell_boxes_.size(); ++i) {
+      for (size_t i = 0; i < chunk->boxes.size(); ++i) {
         Point lo, hi;
         for (int k = 0; k < kMaxDim; ++k) {
           lo[k] = ReadLeDouble(p + (i * 2 * kMaxDim + k) * 8);
           hi[k] = ReadLeDouble(p + (i * 2 * kMaxDim + kMaxDim + k) * 8);
         }
-        g->cell_boxes_[i] = Box(lo, hi);
+        chunk->boxes[i] = Box(lo, hi);
       }
     }
     {
@@ -500,26 +510,26 @@ class SnapshotIO {
                  " rows";
         return nullptr;
       }
-      g->member_coords_.resize(s->size() / 8);
+      chunk->members.resize(s->size() / 8);
       p = reinterpret_cast<const unsigned char*>(s->data());
-      ReadF64s(p, g->member_coords_.size(), g->member_coords_.data());
+      ReadF64s(p, chunk->members.size(), chunk->members.data());
     }
     {
       auto s = section("core_neighbors", 4);
       if (!s) return nullptr;
-      g->core_neighbors_.resize(s->size() / 4);
+      chunk->nbrs.resize(s->size() / 4);
       p = reinterpret_cast<const unsigned char*>(s->data());
-      ReadI32s(p, g->core_neighbors_.size(), g->core_neighbors_.data());
+      ReadI32s(p, chunk->nbrs.size(), chunk->nbrs.data());
     }
 
     // Structural sanity: every cell's ranges must lie inside the arrays
     // they index (the CRC already vouches for integrity; this guards
     // against a manifest/section mismatch assembled from mixed files).
     const int32_t num_members =
-        static_cast<int32_t>(g->member_coords_.size() /
+        static_cast<int32_t>(chunk->members.size() /
                              static_cast<size_t>(dim));
-    const int32_t num_nbrs = static_cast<int32_t>(g->core_neighbors_.size());
-    for (const auto& c : g->cells_) {
+    const int32_t num_nbrs = static_cast<int32_t>(chunk->nbrs.size());
+    for (const FlatCell& c : flat) {
       if (c.members_begin < 0 || c.members_begin > c.members_end ||
           c.members_end > num_members || c.nbr_begin < 0 ||
           c.nbr_begin > c.nbr_end || c.nbr_end > num_nbrs) {
@@ -529,6 +539,20 @@ class SnapshotIO {
         return nullptr;
       }
     }
+    g->cells_.resize(flat.size());
+    for (size_t i = 0; i < flat.size(); ++i) {
+      const FlatCell& c = flat[i];
+      GridSnapshot::CellRec& rec = g->cells_[i];
+      rec.label = c.label;
+      rec.box = &chunk->boxes[i];
+      rec.members = chunk->members.data() +
+                    static_cast<size_t>(c.members_begin) *
+                        static_cast<size_t>(dim);
+      rec.num_members = c.members_end - c.members_begin;
+      rec.nbrs = chunk->nbrs.data() + c.nbr_begin;
+      rec.num_nbrs = c.nbr_end - c.nbr_begin;
+    }
+    g->chunks_.push_back(std::move(chunk));
     for (const int32_t c : g->cell_of_) {
       if (c < -1 || c >= static_cast<int32_t>(g->cells_.size())) {
         *error = "snapshot " + path + " (" + prefix +
@@ -700,19 +724,25 @@ bool SaveSnapshot(const ClusterSnapshot& snap, const DbscanParams& params,
   b.WriteTable(j);
   j.EndObject();
 
+  // Header, manifest and sections stream straight into the file: the
+  // sections are the only full copy of the snapshot this save makes.
   const std::string& manifest = j.str();
-  std::string file;
-  file.reserve(kFileHeaderBytes + manifest.size());
-  file.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendLe32(file, static_cast<uint32_t>(manifest.size()));
-  AppendLe32(file, Crc32(manifest));
-  file.append(manifest);
-  b.AppendPayloads(file);
-
-  if (!WriteFileAtomic(path, file, error)) return false;
+  std::string header(kSnapshotMagic, sizeof(kSnapshotMagic));
+  AppendLe32(header, static_cast<uint32_t>(manifest.size()));
+  AppendLe32(header, Crc32(manifest));
+  const bool ok = WriteFileAtomic(
+      path,
+      [&](WritableFile& out) {
+        out.Append(header);
+        out.Append(manifest);
+        b.WritePayloads(out);
+      },
+      error);
+  if (!ok) return false;
   DDC_COUNTER_INC("persist.snapshot_saves");
   DDC_COUNTER_ADD("persist.snapshot_bytes_written",
-                  static_cast<int64_t>(file.size()));
+                  static_cast<int64_t>(header.size() + manifest.size() +
+                                       b.payload_bytes()));
   return true;
 }
 

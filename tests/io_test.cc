@@ -8,6 +8,7 @@
 
 #include "common/crc32.h"
 #include "common/io.h"
+#include "common/random.h"
 #include "persist/fault_file.h"
 
 namespace ddc {
@@ -49,6 +50,41 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
     std::string flipped = data;
     flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));
     EXPECT_NE(Crc32(flipped), clean) << "bit " << bit;
+  }
+}
+
+/// The textbook bytewise CRC-32, independent of the library's tables.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(7);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n = 0; n < 300; ++n) {
+      ASSERT_EQ(Crc32(buf.data() + align, n),
+                ReferenceCrc32(buf.data() + align, n, 0))
+          << "len " << n << " align " << align;
+    }
+  }
+  // Random lengths, offsets and seeds, chained over random split points.
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t off = static_cast<size_t>(rng.NextBelow(8));
+    const size_t n = static_cast<size_t>(rng.NextBelow(4096));
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const unsigned char* p = buf.data() + off;
+    const uint32_t want = ReferenceCrc32(p, n, seed);
+    ASSERT_EQ(Crc32(p, n, seed), want) << "len " << n << " off " << off;
+    const size_t split = static_cast<size_t>(rng.NextBelow(n + 1));
+    ASSERT_EQ(Crc32(p + split, n - split, Crc32(p, split, seed)), want)
+        << "len " << n << " split " << split;
   }
 }
 
