@@ -90,6 +90,4 @@ bool BfsConnectivity::Connected(int u, int v) {
   return label_[u] == label_[v];
 }
 
-uint64_t BfsConnectivity::ComponentId(int v) { return label_[v]; }
-
 }  // namespace ddc

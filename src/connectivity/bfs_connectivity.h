@@ -24,7 +24,6 @@ class BfsConnectivity : public DynamicConnectivity {
   void AddEdge(int u, int v) override;
   void RemoveEdge(int u, int v) override;
   bool Connected(int u, int v) override;
-  uint64_t ComponentId(int v) override;
   uint64_t ComponentIdReadOnly(int v) const override { return label_[v]; }
   int num_vertices() const override { return static_cast<int>(adj_.size()); }
 

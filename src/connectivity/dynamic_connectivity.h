@@ -34,12 +34,9 @@ class DynamicConnectivity {
 
   /// An identifier of v's component. Two vertices share a component iff
   /// their ids are equal. Ids are stable between modifications but may be
-  /// reassigned by any AddEdge/RemoveEdge.
-  virtual uint64_t ComponentId(int v) = 0;
-
-  /// ComponentId as a mutation-free lookup (no splaying, no lazy
-  /// materialization): safe to call while building a frozen snapshot.
-  /// Agrees with ComponentId(v) between modifications.
+  /// reassigned by any AddEdge/RemoveEdge. A mutation-free lookup (no
+  /// splaying, no lazy materialization): safe to call while building a
+  /// frozen snapshot.
   virtual uint64_t ComponentIdReadOnly(int v) const = 0;
 
   /// Number of vertices currently in the universe.

@@ -171,11 +171,6 @@ bool HdtConnectivity::Connected(int u, int v) {
   return forests_[0]->Connected(u, v);
 }
 
-uint64_t HdtConnectivity::ComponentId(int v) {
-  DDC_CHECK(v >= 0 && v < n_);
-  return reinterpret_cast<uint64_t>(forests_[0]->Representative(v));
-}
-
 uint64_t HdtConnectivity::ComponentIdReadOnly(int v) const {
   DDC_CHECK(v >= 0 && v < n_);
   const EttNode* head = forests_[0]->RepresentativeReadOnly(v);

@@ -29,7 +29,6 @@ class HdtConnectivity : public DynamicConnectivity {
   void AddEdge(int u, int v) override;
   void RemoveEdge(int u, int v) override;
   bool Connected(int u, int v) override;
-  uint64_t ComponentId(int v) override;
   uint64_t ComponentIdReadOnly(int v) const override;
   int num_vertices() const override { return n_; }
 

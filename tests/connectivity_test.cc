@@ -24,7 +24,7 @@ TEST_P(ConnectivityTest, EmptyGraph) {
   c->EnsureVertices(3);
   EXPECT_TRUE(c->Connected(1, 1));
   EXPECT_FALSE(c->Connected(0, 2));
-  EXPECT_NE(c->ComponentId(0), c->ComponentId(2));
+  EXPECT_NE(c->ComponentIdReadOnly(0), c->ComponentIdReadOnly(2));
 }
 
 TEST_P(ConnectivityTest, TriangleSurvivesOneRemoval) {
@@ -37,7 +37,7 @@ TEST_P(ConnectivityTest, TriangleSurvivesOneRemoval) {
   // Removing any one edge of a cycle keeps the component intact.
   c->RemoveEdge(0, 1);
   EXPECT_TRUE(c->Connected(0, 1));
-  EXPECT_EQ(c->ComponentId(0), c->ComponentId(1));
+  EXPECT_EQ(c->ComponentIdReadOnly(0), c->ComponentIdReadOnly(1));
   c->RemoveEdge(1, 2);
   EXPECT_FALSE(c->Connected(1, 0));
   EXPECT_TRUE(c->Connected(0, 2));
@@ -60,7 +60,7 @@ TEST_P(ConnectivityTest, BridgeSplit) {
   EXPECT_FALSE(c->Connected(0, 5));
   EXPECT_TRUE(c->Connected(0, 2));
   EXPECT_TRUE(c->Connected(3, 5));
-  EXPECT_NE(c->ComponentId(0), c->ComponentId(3));
+  EXPECT_NE(c->ComponentIdReadOnly(0), c->ComponentIdReadOnly(3));
 }
 
 TEST_P(ConnectivityTest, ComponentIdsPartitionCorrectly) {
@@ -72,7 +72,7 @@ TEST_P(ConnectivityTest, ComponentIdsPartitionCorrectly) {
   c->AddEdge(0, 2);
   // Components: {0,1,2,3}, {4,5}, {6}, {7}.
   std::map<uint64_t, std::set<int>> by_id;
-  for (int v = 0; v < 8; ++v) by_id[c->ComponentId(v)].insert(v);
+  for (int v = 0; v < 8; ++v) by_id[c->ComponentIdReadOnly(v)].insert(v);
   ASSERT_EQ(by_id.size(), 4u);
   std::set<std::set<int>> groups;
   for (auto& [id, s] : by_id) groups.insert(s);
@@ -133,7 +133,7 @@ TEST_P(ConnectivityTest, FuzzAgainstRecomputation) {
         const int b = static_cast<int>(rng.NextBelow(n));
         ASSERT_EQ(c->Connected(a, b), uf.Connected(a, b))
             << "step " << step << " pair (" << a << "," << b << ")";
-        ASSERT_EQ(c->ComponentId(a) == c->ComponentId(b), uf.Connected(a, b));
+        ASSERT_EQ(c->ComponentIdReadOnly(a) == c->ComponentIdReadOnly(b), uf.Connected(a, b));
       }
     }
   }
