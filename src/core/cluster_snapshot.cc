@@ -1,6 +1,7 @@
 #include "core/cluster_snapshot.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "telemetry/metrics.h"
@@ -36,7 +37,9 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
   // so it costs O(1) amortized per dirty cell.
   if (st.chunked_cells_ > num_cells + num_cells / 2 + 1024) st.MarkAll();
   const bool full = st.all_dirty_ || st.prev_ == nullptr;
-  const GridSnapshot* prev = full ? nullptr : st.prev_.get();
+  // A full build patches everything onto an empty previous epoch.
+  static const GridSnapshot kEmpty(0);
+  const GridSnapshot& prev = full ? kEmpty : *st.prev_;
 
   std::shared_ptr<GridSnapshot> snap(new GridSnapshot(epoch));
   snap->dim_ = dim;
@@ -46,13 +49,14 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
   // Per-point arrays and the cell table: flat copies of the previous epoch,
   // patched below where the clusterer marked changes.
   std::vector<CellId> dirty;
+  auto copy_grown = [](const auto& from, auto* to, size_t n, auto fill) {
+    to->reserve(n);
+    to->assign(from.begin(), from.end());
+    to->resize(n, fill);
+  };
   if (full) {
-    snap->cell_of_.assign(static_cast<size_t>(total), -1);
-    snap->point_core_.assign(static_cast<size_t>(total), 0);
-    snap->point_coords_.assign(static_cast<size_t>(total) * udim, 0.0);
-    snap->cells_.assign(static_cast<size_t>(num_cells), CellRec{});
     dirty.resize(static_cast<size_t>(num_cells));
-    for (CellId c = 0; c < num_cells; ++c) dirty[c] = c;
+    std::iota(dirty.begin(), dirty.end(), CellId{0});
     st.cell_dirty_.assign(static_cast<size_t>(num_cells), 1);
     st.cell_chunk_.assign(static_cast<size_t>(num_cells), -1);
     st.first_core_.assign(static_cast<size_t>(num_cells), kInvalidPoint);
@@ -61,39 +65,49 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
     st.free_slots_.clear();
     st.chunked_cells_ = 0;
   } else {
-    auto copy_grown = [](const auto& from, auto* to, size_t n, auto fill) {
-      to->reserve(n);
-      to->assign(from.begin(), from.end());
-      to->resize(n, fill);
-    };
-    copy_grown(prev->cell_of_, &snap->cell_of_, static_cast<size_t>(total),
-               int32_t{-1});
-    copy_grown(prev->point_core_, &snap->point_core_,
-               static_cast<size_t>(total), uint8_t{0});
-    copy_grown(prev->point_coords_, &snap->point_coords_,
-               static_cast<size_t>(total) * udim, 0.0);
-    copy_grown(prev->cells_, &snap->cells_, static_cast<size_t>(num_cells),
-               CellRec{});
-    snap->chunks_ = prev->chunks_;
-    for (const PointId p : st.deleted_) {
-      snap->cell_of_[p] = -1;
-      snap->point_core_[p] = 0;
-      std::fill_n(snap->point_coords_.begin() + static_cast<size_t>(p) * udim,
-                  udim, 0.0);
-    }
     dirty.swap(st.dirty_cells_);
     st.cell_dirty_.resize(static_cast<size_t>(num_cells), 0);
+    st.cell_chunk_.resize(static_cast<size_t>(num_cells), -1);
+    st.first_core_.resize(static_cast<size_t>(num_cells), kInvalidPoint);
     // Cells are only created by an insert, which marks them.
-    for (CellId c = static_cast<CellId>(prev->cells_.size()); c < num_cells;
+    for (CellId c = static_cast<CellId>(prev.cells_.size()); c < num_cells;
          ++c) {
       DDC_DCHECK(st.cell_dirty_[c] != 0);
     }
-    st.cell_chunk_.resize(static_cast<size_t>(num_cells), -1);
-    st.first_core_.resize(static_cast<size_t>(num_cells), kInvalidPoint);
+  }
+  copy_grown(prev.cell_of_, &snap->cell_of_, static_cast<size_t>(total),
+             int32_t{-1});
+  copy_grown(prev.point_core_, &snap->point_core_, static_cast<size_t>(total),
+             uint8_t{0});
+  copy_grown(prev.point_coords_, &snap->point_coords_,
+             static_cast<size_t>(total) * udim, 0.0);
+  copy_grown(prev.cells_, &snap->cells_, static_cast<size_t>(num_cells),
+             CellRec{});
+  snap->chunks_ = prev.chunks_;
+
+  // A point's record changes only when it is born, dies, or flips core: ids
+  // born since the previous build (every id, on a full one) and the marked
+  // ids take their current state; the rest keep their frozen record.
+  auto freeze_point = [&](PointId p) {
+    double* coords = snap->point_coords_.data() + static_cast<size_t>(p) * udim;
+    if (!grid.alive(p)) {
+      snap->cell_of_[p] = -1;
+      snap->point_core_[p] = 0;
+      std::fill_n(coords, udim, 0.0);
+      return;
+    }
+    snap->cell_of_[p] = grid.cell_of(p);
+    snap->point_core_[p] = sources.is_core(p) ? 1 : 0;
+    std::copy_n(grid.point(p).data(), udim, coords);
+  };
+  const PointId first_new = static_cast<PointId>(prev.cell_of_.size());
+  for (PointId p = first_new; p < total; ++p) freeze_point(p);
+  for (const PointId p : st.touched_) {
+    if (p < first_new) freeze_point(p);
   }
 
-  // Pass 1 — dirty cells' members: core-member coordinates into a fresh
-  // chunk, and the per-point bits and coordinates of every point they hold.
+  // Pass 1 — dirty cells' members: core-member coordinates, in cell order,
+  // into a fresh chunk (the per-point core bits are final by now).
   // A cell that gains its first or loses its last core member changes its
   // neighbors' core-neighbor lists, so it drags them into the dirty set.
   auto chunk = std::make_shared<CellChunk>();
@@ -113,14 +127,9 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
     PointId first_core = kInvalidPoint;
     for (size_t k = 0; k < cell.points.size(); ++k) {
       const PointId p = cell.points[k];
-      const double* coords = cell.coords.data() + k * udim;
-      const bool core = sources.is_core(p);
-      snap->cell_of_[p] = c;
-      snap->point_core_[p] = core ? 1 : 0;
-      std::copy_n(coords, udim,
-                  snap->point_coords_.begin() + static_cast<size_t>(p) * udim);
-      if (!core) continue;
+      if (snap->point_core_[p] == 0) continue;
       if (first_core == kInvalidPoint) first_core = p;
+      const double* coords = cell.coords.data() + k * udim;
       chunk->members.insert(chunk->members.end(), coords, coords + udim);
     }
     rec.num_members =
@@ -213,7 +222,7 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
 
   dirty.clear();
   st.dirty_cells_.swap(dirty);  // Keeps the list's capacity.
-  st.deleted_.clear();
+  st.touched_.clear();
   st.all_dirty_ = false;
   st.frozen_points_ = total;
   st.prev_ = snap;

@@ -60,14 +60,15 @@ class GridSnapshot;
 
 /// What a clusterer keeps between GridSnapshot::Build calls so that a build
 /// re-freezes only what changed: the cells its update paths marked dirty
-/// since the previous build, the ids deleted since then, and the snapshot
-/// that build produced (whose clean cells and payload chunks the next build
-/// shares). A fresh state is all-dirty — the first build freezes everything,
-/// through the same routine. Owning thread only.
+/// since the previous build, the existing ids deleted, promoted or demoted
+/// since then, and the snapshot that build produced (whose clean cells and
+/// payload chunks the next build shares). A fresh state is all-dirty — the
+/// first build freezes everything, through the same routine. Owning thread
+/// only.
 class GridFreezeState {
  public:
-  /// A point was inserted into cell `c`, or promoted or demoted in it. Called
-  /// by the insert/promote/demote paths; O(1).
+  /// A point was inserted into cell `c`. Called by the insert path; O(1).
+  /// (Ids born since the previous build are frozen wholesale.)
   void MarkCell(CellId c) {
     if (all_dirty_) return;
     if (static_cast<size_t>(c) >= cell_dirty_.size()) {
@@ -78,14 +79,15 @@ class GridFreezeState {
     dirty_cells_.push_back(c);
   }
 
-  /// Point `p` was deleted from cell `c`. O(1); past one pending delete per
-  /// frozen id the next build is a full one, so an unqueried clusterer never
-  /// accumulates more than that.
-  void MarkDeleted(PointId p, CellId c) {
+  /// Point `p` was deleted from cell `c`, or promoted or demoted in it.
+  /// Called by the delete/promote/demote paths; O(1). Past one pending mark
+  /// per frozen id the next build is a full one, so an unqueried clusterer
+  /// never accumulates more than that.
+  void MarkPoint(PointId p, CellId c) {
     MarkCell(c);
     if (all_dirty_) return;
-    deleted_.push_back(p);
-    if (static_cast<int64_t>(deleted_.size()) > frozen_points_ + 1024) {
+    touched_.push_back(p);
+    if (static_cast<int64_t>(touched_.size()) > frozen_points_ + 1024) {
       MarkAll();
     }
   }
@@ -98,14 +100,14 @@ class GridFreezeState {
     all_dirty_ = true;
     dirty_cells_.clear();
     cell_dirty_.clear();
-    deleted_.clear();
+    touched_.clear();
   }
 
   bool all_dirty_ = true;
   std::vector<uint8_t> cell_dirty_;  // Per cell: already in dirty_cells_.
   std::vector<CellId> dirty_cells_;
-  std::vector<PointId> deleted_;
-  int64_t frozen_points_ = 0;  // Ids covered by prev_.
+  std::vector<PointId> touched_;  // Deleted, promoted or demoted ids.
+  int64_t frozen_points_ = 0;    // Ids covered by prev_.
 
   /// The last build, shared with whoever holds it (immutable).
   std::shared_ptr<const GridSnapshot> prev_;

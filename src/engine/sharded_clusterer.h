@@ -40,16 +40,17 @@ namespace ddc {
 /// only the cells that changed, see GridSnapshot), rebuilds the stitch
 /// table from those frozen labels — a union-find over shard-local component
 /// labels, fed by the incrementally maintained boundary core-core edge set
-/// (see BoundaryStitcher) — then composes a ShardedSnapshot (per-shard frozen GridSnapshots + the stitch
-/// label table + routing records) and publishes it by an atomic shared_ptr
-/// swap: one immutable epoch, readable lock-free from any number of
-/// threads while further updates flow. Query/ClusterIdOf/SameCluster are
-/// Flush + a resolve against the published snapshot; CurrentSnapshot() is
-/// the wait-free read-side entry point (the latest published epoch, no
-/// flush). An owner-core point belongs exactly to its owner's component; a
-/// point that is non-core in its owner shard takes the union of the
-/// memberships every holding shard computes for it, which restores the
-/// cross-boundary attachments a single truncated halo cannot see. The
+/// (see BoundaryStitcher) — then composes a ShardedSnapshot (the frozen
+/// shard snapshots + the stitch label table + routing records) and
+/// publishes it by an atomic shared_ptr swap: one immutable epoch, readable
+/// lock-free from any number of threads while further updates flow.
+/// Query/ClusterIdOf/SameCluster are Flush + a resolve against the
+/// published snapshot; CurrentSnapshot() is the wait-free read-side entry
+/// point (the latest published epoch, no flush). An owner-core point
+/// belongs exactly to its owner's component; a point that is non-core in
+/// its owner shard takes the union of the memberships every holding shard
+/// computes for it, which restores the cross-boundary attachments a single
+/// truncated halo cannot see. The
 /// result satisfies the Theorem 3 sandwich at every shard count and equals
 /// exact DBSCAN verbatim at rho == 0 (tests/conformance_test.cc).
 ///
