@@ -85,25 +85,28 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
              CellRec{});
   snap->chunks_ = prev.chunks_;
 
-  // A point's record changes only when it is born, dies, or flips core: ids
-  // born since the previous build (every id, on a full one) and the marked
-  // ids take their current state; the rest keep their frozen record.
-  auto freeze_point = [&](PointId p) {
-    double* coords = snap->point_coords_.data() + static_cast<size_t>(p) * udim;
-    if (!grid.alive(p)) {
-      snap->cell_of_[p] = -1;
-      snap->point_core_[p] = 0;
-      std::fill_n(coords, udim, 0.0);
-      return;
-    }
+  // A point's record changes only when it is born, flips core or dies:
+  // ids born since the previous build (every id, on a full one) take their
+  // whole record, flipped ids their core bit (cell and coordinates are
+  // fixed for life), deleted ids the dead record. Flips go before deletes,
+  // so an id that flipped and then died ends up dead.
+  const PointId first_new = static_cast<PointId>(prev.cell_of_.size());
+  for (PointId p = first_new; p < total; ++p) {
+    if (!grid.alive(p)) continue;
     snap->cell_of_[p] = grid.cell_of(p);
     snap->point_core_[p] = sources.is_core(p) ? 1 : 0;
-    std::copy_n(grid.point(p).data(), udim, coords);
-  };
-  const PointId first_new = static_cast<PointId>(prev.cell_of_.size());
-  for (PointId p = first_new; p < total; ++p) freeze_point(p);
-  for (const PointId p : st.touched_) {
-    if (p < first_new) freeze_point(p);
+    std::copy_n(grid.point(p).data(), udim,
+                snap->point_coords_.begin() + static_cast<size_t>(p) * udim);
+  }
+  for (const PointId p : st.flipped_) {
+    if (p < first_new) snap->point_core_[p] = sources.is_core(p) ? 1 : 0;
+  }
+  for (const PointId p : st.deleted_) {
+    if (p >= first_new) continue;
+    snap->cell_of_[p] = -1;
+    snap->point_core_[p] = 0;
+    std::fill_n(snap->point_coords_.begin() + static_cast<size_t>(p) * udim,
+                udim, 0.0);
   }
 
   // Pass 1 — dirty cells' members: core-member coordinates, in cell order,
@@ -222,7 +225,8 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
 
   dirty.clear();
   st.dirty_cells_.swap(dirty);  // Keeps the list's capacity.
-  st.touched_.clear();
+  st.flipped_.clear();
+  st.deleted_.clear();
   st.all_dirty_ = false;
   st.frozen_points_ = total;
   st.prev_ = snap;

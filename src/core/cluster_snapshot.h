@@ -67,8 +67,8 @@ class GridSnapshot;
 /// only.
 class GridFreezeState {
  public:
-  /// A point was inserted into cell `c`. Called by the insert path; O(1).
-  /// (Ids born since the previous build are frozen wholesale.)
+  /// A point was inserted into cell `c`. O(1). (Ids born since the previous
+  /// build are frozen wholesale.)
   void MarkCell(CellId c) {
     if (all_dirty_) return;
     if (static_cast<size_t>(c) >= cell_dirty_.size()) {
@@ -79,35 +79,42 @@ class GridFreezeState {
     dirty_cells_.push_back(c);
   }
 
-  /// Point `p` was deleted from cell `c`, or promoted or demoted in it.
-  /// Called by the delete/promote/demote paths; O(1). Past one pending mark
-  /// per frozen id the next build is a full one, so an unqueried clusterer
-  /// never accumulates more than that.
-  void MarkPoint(PointId p, CellId c) {
-    MarkCell(c);
-    if (all_dirty_) return;
-    touched_.push_back(p);
-    if (static_cast<int64_t>(touched_.size()) > frozen_points_ + 1024) {
-      MarkAll();
-    }
-  }
+  /// Point `p` was promoted or demoted in cell `c`. O(1).
+  void MarkCore(PointId p, CellId c) { MarkPoint(p, c, &flipped_); }
+
+  /// Point `p` was deleted from cell `c`. O(1).
+  void MarkDeleted(PointId p, CellId c) { MarkPoint(p, c, &deleted_); }
 
  private:
   friend class GridSnapshot;
+
+  /// Past one pending id mark per frozen id the next build is a full one,
+  /// so an unqueried clusterer never accumulates more than that.
+  void MarkPoint(PointId p, CellId c, std::vector<PointId>* list) {
+    MarkCell(c);
+    if (all_dirty_) return;
+    list->push_back(p);
+    if (static_cast<int64_t>(flipped_.size() + deleted_.size()) >
+        frozen_points_ + 1024) {
+      MarkAll();
+    }
+  }
 
   /// Makes the next build a full one.
   void MarkAll() {
     all_dirty_ = true;
     dirty_cells_.clear();
     cell_dirty_.clear();
-    touched_.clear();
+    flipped_.clear();
+    deleted_.clear();
   }
 
   bool all_dirty_ = true;
   std::vector<uint8_t> cell_dirty_;  // Per cell: already in dirty_cells_.
   std::vector<CellId> dirty_cells_;
-  std::vector<PointId> touched_;  // Deleted, promoted or demoted ids.
-  int64_t frozen_points_ = 0;    // Ids covered by prev_.
+  std::vector<PointId> flipped_;  // Promoted or demoted ids.
+  std::vector<PointId> deleted_;
+  int64_t frozen_points_ = 0;  // Ids covered by prev_.
 
   /// The last build, shared with whoever holds it (immutable).
   std::shared_ptr<const GridSnapshot> prev_;

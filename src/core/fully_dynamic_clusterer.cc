@@ -64,7 +64,7 @@ void FullyDynamicClusterer::Delete(PointId id) {
     OnCoreDemoted(id, cell);
   }
   grid_.Delete(id);
-  freeze_.MarkPoint(id, cell);
+  freeze_.MarkDeleted(id, cell);
   counter_.OnDelete(id, cell);
   // Remaining points may demote now that the counts dropped.
   tracker_.OnDelete(id, cell,
@@ -108,7 +108,7 @@ void FullyDynamicClusterer::DestroyInstance(CellId a, CellId b,
 void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.promotions");
   if (core_observer_) core_observer_(p, true);
-  freeze_.MarkPoint(p, cell);
+  freeze_.MarkCore(p, cell);
   CellCoreState& s = State(cell);
   const bool was_core_cell = s.is_core_cell();
   s.core_set->Insert(p);
@@ -139,7 +139,7 @@ void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
 void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.demotions");
   if (core_observer_) core_observer_(p, false);
-  freeze_.MarkPoint(p, cell);
+  freeze_.MarkCore(p, cell);
   CellCoreState& s = State(cell);
   s.core_set->Remove(p);
 

@@ -65,7 +65,7 @@ PointId IncrementalDbscan::Insert(const Point& p) {
     if (q == ins.id) continue;
     if (++neighbor_count_[q] == params_.min_pts) {
       new_cores.push_back(q);
-      freeze_.MarkPoint(q, grid_.cell_of(q));
+      freeze_.MarkCore(q, grid_.cell_of(q));
     }
   }
   if (is_core(ins.id)) new_cores.push_back(ins.id);
@@ -91,10 +91,10 @@ void IncrementalDbscan::Delete(PointId id) {
   // moment — that is how they are recognized below.
   for (const PointId q : seeds) {
     if (q != id && --neighbor_count_[q] == params_.min_pts - 1) {
-      freeze_.MarkPoint(q, grid_.cell_of(q));  // Demoted.
+      freeze_.MarkCore(q, grid_.cell_of(q));  // Demoted.
     }
   }
-  freeze_.MarkPoint(id, grid_.Delete(id));
+  freeze_.MarkDeleted(id, grid_.Delete(id));
   neighbor_count_[id] = 0;
   cluster_id_[id] = -1;
 

@@ -46,7 +46,7 @@ void SemiDynamicClusterer::Delete(PointId /*id*/) {
 }
 
 void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
-  freeze_.MarkPoint(p, cell);
+  freeze_.MarkCore(p, cell);
   CoreSet(cell)->Insert(p);
   const Point& pt = grid_.point(p);
   // GUM: try to materialize an edge to every ε-close core cell that has no
