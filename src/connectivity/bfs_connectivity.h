@@ -24,7 +24,13 @@ class BfsConnectivity : public DynamicConnectivity {
   void AddEdge(int u, int v) override;
   void RemoveEdge(int u, int v) override;
   bool Connected(int u, int v) override;
-  uint64_t ComponentIdReadOnly(int v) const override { return label_[v]; }
+  void ComponentIdsReadOnly(const std::vector<int>& vertices,
+                            std::vector<uint64_t>* labels) override {
+    labels->resize(vertices.size());
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      (*labels)[i] = label_[vertices[i]];
+    }
+  }
   int num_vertices() const override { return static_cast<int>(adj_.size()); }
 
  private:

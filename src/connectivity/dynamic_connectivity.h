@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace ddc {
 
@@ -32,12 +33,15 @@ class DynamicConnectivity {
   /// True when u and v are in the same component.
   virtual bool Connected(int u, int v) = 0;
 
-  /// An identifier of v's component. Two vertices share a component iff
-  /// their ids are equal. Ids are stable between modifications but may be
-  /// reassigned by any AddEdge/RemoveEdge. A mutation-free lookup (no
-  /// splaying, no lazy materialization): safe to call while building a
-  /// frozen snapshot.
-  virtual uint64_t ComponentIdReadOnly(int v) const = 0;
+  /// Fills (*labels)[i] with an identifier of vertices[i]'s component and
+  /// resizes *labels to match. Two vertices share a component iff their ids
+  /// are equal. Ids are stable between modifications but may be reassigned
+  /// by any AddEdge/RemoveEdge. Changes no component, no tour and no splay
+  /// shape, so a frozen snapshot can be built from it; but an
+  /// implementation may use per-vertex scratch, so it runs on the owning
+  /// thread with the structure quiescent.
+  virtual void ComponentIdsReadOnly(const std::vector<int>& vertices,
+                                    std::vector<uint64_t>* labels) = 0;
 
   /// Number of vertices currently in the universe.
   virtual int num_vertices() const = 0;

@@ -223,13 +223,45 @@ const EttNode* EulerTourForest::Representative(int u) {
   return head;
 }
 
-const EttNode* EulerTourForest::RepresentativeReadOnly(int u) const {
-  DDC_DCHECK(u >= 0 && u < num_vertices());
-  const EttNode* node = self_[u];
-  if (node == nullptr) return nullptr;  // Untouched singleton.
-  while (node->parent != nullptr) node = node->parent;
-  while (node->left != nullptr) node = node->left;
-  return node;
+int64_t EulerTourForest::TourHeads(const std::vector<int>& vertices,
+                                   std::vector<const EttNode*>* heads) {
+  heads->resize(vertices.size());
+  std::vector<const EttNode*> found;  // Distinct heads, by memo - 1.
+  constexpr size_t kAhead = 8;  // Self-arcs are scattered over the heap.
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    DDC_DCHECK(vertices[i] >= 0 && vertices[i] < num_vertices());
+    if (i + kAhead < vertices.size()) {
+      __builtin_prefetch(self_[vertices[i + kAhead]]);
+    }
+    EttNode* x = self_[vertices[i]];
+    if (x == nullptr) {  // Untouched singleton.
+      (*heads)[i] = nullptr;
+      continue;
+    }
+    // Climb until a memoized node or the splay root, then stamp the whole
+    // path with the head's index.
+    const size_t path = memoized_.size();
+    while (x->head_memo == 0) {
+      memoized_.push_back(x);
+      if (x->parent == nullptr) break;
+      x = x->parent;
+    }
+    uint32_t memo = x->head_memo;
+    if (memo == 0) {  // x is the root: descend its left spine.
+      const EttNode* head = x;
+      while (head->left != nullptr) head = head->left;
+      found.push_back(head);
+      memo = static_cast<uint32_t>(found.size());
+    }
+    for (size_t k = path; k < memoized_.size(); ++k) {
+      memoized_[k]->head_memo = memo;
+    }
+    (*heads)[i] = found[memo - 1];
+  }
+  const int64_t climbed = static_cast<int64_t>(memoized_.size());
+  for (EttNode* x : memoized_) x->head_memo = 0;
+  memoized_.clear();
+  return climbed;
 }
 
 void EulerTourForest::SetVertexFlag(int u, bool flag) {

@@ -30,6 +30,11 @@ struct EttNode {
   int32_t cnt_nontree = 0;   // flagged self-arcs in subtree
   int32_t cnt_level = 0;     // flagged arcs in subtree
 
+  /// Scratch of EulerTourForest::TourHeads: 1 + the index of this node's
+  /// tour head among the heads one call has found, 0 = unset. Zero outside
+  /// that call. Sits in what would otherwise be tail padding.
+  uint32_t head_memo = 0;
+
   bool is_self() const { return u == v; }
 };
 
@@ -76,13 +81,18 @@ class EulerTourForest {
   /// between Link/Cut operations.
   const EttNode* Representative(int u);
 
-  /// Representative without splaying: a mutation-free parent walk to the
-  /// splay root, then left-spine descent to the tour head. Returns the same
-  /// node as Representative(u) (the head is a property of the tour, not of
-  /// the splay shape). A vertex whose self-arc was never materialized is a
-  /// singleton; it is reported as nullptr so the caller can synthesize a
-  /// label without mutating the forest.
-  const EttNode* RepresentativeReadOnly(int u) const;
+  /// Representatives of many vertices without splaying: (*heads)[i] is the
+  /// node Representative(vertices[i]) would return (the head is a property
+  /// of the tour, not of the splay shape), or nullptr for a vertex whose
+  /// self-arc was never materialized — a singleton the caller labels
+  /// itself. Each splay node is climbed at most once per call: a climb
+  /// stops at the first node an earlier climb memoized with its tree's
+  /// head. The tours and splay shapes are left as they were, but the call
+  /// writes (and clears before returning) each climbed node's head_memo, so
+  /// it runs on the owning thread with the forest quiescent, like any
+  /// mutation. Returns the number of nodes climbed.
+  int64_t TourHeads(const std::vector<int>& vertices,
+                    std::vector<const EttNode*>* heads);
 
   /// Marks whether u carries non-tree edges at this forest's level.
   void SetVertexFlag(int u, bool flag);
@@ -103,6 +113,8 @@ class EulerTourForest {
   void Reroot(EttNode* self_node);
 
   std::vector<EttNode*> self_;
+  /// TourHeads scratch: the nodes whose head_memo it set (capacity kept).
+  std::vector<EttNode*> memoized_;
 };
 
 }  // namespace ddc

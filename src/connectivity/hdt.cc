@@ -171,14 +171,25 @@ bool HdtConnectivity::Connected(int u, int v) {
   return forests_[0]->Connected(u, v);
 }
 
-uint64_t HdtConnectivity::ComponentIdReadOnly(int v) const {
-  DDC_CHECK(v >= 0 && v < n_);
-  const EttNode* head = forests_[0]->RepresentativeReadOnly(v);
-  if (head != nullptr) return reinterpret_cast<uint64_t>(head);
-  // Never-touched singleton: synthesize an odd label — EttNode pointers are
-  // aligned, so the two label families can't collide, and the value agrees
-  // with itself across lookups until an edge first touches v.
-  return (static_cast<uint64_t>(static_cast<uint32_t>(v)) << 1) | 1;
+void HdtConnectivity::ComponentIdsReadOnly(const std::vector<int>& vertices,
+                                           std::vector<uint64_t>* labels) {
+  for (const int v : vertices) DDC_CHECK(v >= 0 && v < n_);
+  std::vector<const EttNode*> heads;
+  DDC_COUNTER_ADD("core.snapshot_label_nodes",
+                  forests_[0]->TourHeads(vertices, &heads));
+  labels->resize(vertices.size());
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    if (heads[i] != nullptr) {
+      (*labels)[i] = reinterpret_cast<uint64_t>(heads[i]);
+      continue;
+    }
+    // A never-touched singleton gets a synthesized odd label — EttNode
+    // pointers are aligned, so the two label families can't collide, and
+    // the value agrees with itself across calls until an edge first
+    // touches the vertex.
+    const uint64_t v = static_cast<uint32_t>(vertices[i]);
+    (*labels)[i] = (v << 1) | 1;
+  }
 }
 
 }  // namespace ddc

@@ -29,7 +29,10 @@ class HdtConnectivity : public DynamicConnectivity {
   void AddEdge(int u, int v) override;
   void RemoveEdge(int u, int v) override;
   bool Connected(int u, int v) override;
-  uint64_t ComponentIdReadOnly(int v) const override;
+  /// Labels are level-0 tour heads; climbs each splay node once per call
+  /// (EulerTourForest::TourHeads).
+  void ComponentIdsReadOnly(const std::vector<int>& vertices,
+                            std::vector<uint64_t>* labels) override;
   int num_vertices() const override { return n_; }
 
   /// Total number of edges currently stored (tree + non-tree).

@@ -23,9 +23,11 @@ namespace ddc {
 /// the read/write split. A snapshot is deep-frozen at creation — it shares
 /// no mutable state with the clusterer that produced it — so any number of
 /// threads may Query it concurrently while updates keep flowing into the
-/// live structures. Lookups are const and mutation-free by construction
-/// (labels are resolved at build time through the read-only find variants;
-/// no path compression or splaying ever runs on the read path).
+/// live structures. Lookups are const and mutation-free by construction:
+/// labels are resolved at build time, on the owning thread, by lookups that
+/// neither compress paths nor splay (the Euler-tour batch lookup only
+/// writes a per-node memo it clears again), and nothing on the read path
+/// touches a live structure.
 ///
 /// A snapshot answers queries about the dataset *as of its epoch*: ids
 /// inserted later are unknown to it and are silently skipped, exactly as
@@ -148,8 +150,9 @@ class GridFreezeState {
 /// and patched where the clusterer marked changes (see GridFreezeState).
 class GridSnapshot final : public ClusterSnapshot {
  public:
-  /// What Build reads from the live clusterer. Both callbacks must be
-  /// read-only lookups.
+  /// What Build reads from the live clusterer. Neither callback may change
+  /// the clustering; cell_labels may write scratch of the structure it
+  /// reads (Build runs on the owning thread with the structures quiescent).
   struct Sources {
     const Grid* grid = nullptr;
     /// Core bit of an alive point; asked only for the points of re-frozen

@@ -173,9 +173,7 @@ std::shared_ptr<const GridSnapshot> FullyDynamicClusterer::Freeze(
   sources.cell_labels = [this](const std::vector<CellId>& cells,
                                const std::vector<PointId>&,
                                std::vector<uint64_t>* labels) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      (*labels)[i] = cc_->ComponentIdReadOnly(cells[i]);
-    }
+    cc_->ComponentIdsReadOnly(cells, labels);
   };
   return GridSnapshot::Build(sources, params_.eps_outer(), epoch, state);
 }

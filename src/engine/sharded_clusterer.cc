@@ -52,7 +52,7 @@ std::unique_ptr<ShardedClusterer::Shard> ShardedClusterer::MakeShard() {
   shard->clusterer->set_core_observer([s](PointId local, bool now_core) {
     s->core_count += now_core ? 1 : -1;
     if (s->is_boundary[local]) {
-      s->deltas.push_back(CoreDelta{s->global_of[local], now_core,
+      s->deltas.push_back(CoreDelta{s->global_of[local], local, now_core,
                                     s->clusterer->grid().point(local)});
     }
   });
@@ -274,7 +274,8 @@ void ShardedClusterer::Flush() {
   for (auto& shard : shards_) {
     for (const CoreDelta& d : shard->deltas) {
       if (d.now_core) {
-        stitcher_.AddCore(shard->index, d.gid, d.point);
+        stitcher_.AddCore(d.gid, d.point,
+                          StitchHolders(d.gid, shard->index, d.local));
       } else {
         stitcher_.RemoveCore(d.gid);
       }
@@ -336,10 +337,7 @@ void ShardedClusterer::RebuildLabels() {
   DDC_TRACE_SPAN("engine.stitch_rebuild");
   DDC_HISTOGRAM_SCOPED("engine.stitch_rebuild");
   DDC_COUNTER_INC("engine.stitch_rebuilds");
-  stitcher_.Rebuild(
-      [this](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
-        LabelsOf(frozen_, gid, out);
-      });
+  stitcher_.Rebuild(frozen_);
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -660,7 +658,7 @@ void ShardedClusterer::ResetStitcher() {
       const bool boundary = map_.NearBoundary(p, shard->index);
       shard->is_boundary[local] = boundary ? 1 : 0;
       if (boundary && shard->clusterer->is_core(local)) {
-        stitcher_.AddCore(shard->index, gid, p);
+        stitcher_.AddCore(gid, p, StitchHolders(gid, shard->index, local));
       }
     }
   }
@@ -694,29 +692,27 @@ std::shared_ptr<const ClusterSnapshot> ShardedClusterer::FullSnapshot() {
         shard->clusterer->FullSnapshot()));
   }
   std::shared_ptr<const BoundaryStitcher::LabelTable> table =
-      stitcher_.BuildTable(
-          [&](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
-            LabelsOf(fresh, gid, out);
-          });
+      stitcher_.BuildTable(fresh);
   return Compose(std::move(fresh), std::move(table));
 }
 
-void ShardedClusterer::LabelsOf(
-    const std::vector<std::shared_ptr<const GridSnapshot>>& shards,
-    PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) const {
+BoundaryStitcher::Holders ShardedClusterer::StitchHolders(
+    PointId gid, int owner, PointId local) const {
+  BoundaryStitcher::Holders at;
+  at.owner = owner;
+  at.local = local;
+  // One hash probe per replica, once per registration; the stitch rebuild
+  // reads the frozen shards through these ids.
   const PointRec& rec = points_[gid];
-  auto push = [&](int t) {
-    const PointId* local = shards_[t]->local_of.Find(gid);
-    DDC_CHECK(local != nullptr);
-    const GridSnapshot& s = *shards[t];
-    if (s.is_core(*local)) {
-      out->push_back(BoundaryStitcher::LabelKey{t, s.CoreLabelOf(*local)});
-    }
+  auto replica = [&](int t) {
+    if (t < rec.first_holder || t > rec.last_holder) return kInvalidPoint;
+    const PointId* l = shards_[t]->local_of.Find(gid);
+    return l != nullptr ? *l : kInvalidPoint;  // Gone: died this epoch.
   };
-  push(rec.owner);  // Owner first; owner-core is the registration invariant.
-  for (int t = rec.first_holder; t <= rec.last_holder; ++t) {
-    if (t != rec.owner) push(t);
-  }
+  DDC_DCHECK(rec.first_holder >= owner - 1 && rec.last_holder <= owner + 1);
+  at.below = replica(owner - 1);
+  at.above = replica(owner + 1);
+  return at;
 }
 
 ClusterLabel ShardedClusterer::ClusterIdOf(PointId id) {

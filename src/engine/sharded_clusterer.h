@@ -213,6 +213,7 @@ class ShardedClusterer : public Clusterer {
   /// the worker and folded into the stitcher at the next Flush.
   struct CoreDelta {
     PointId gid;
+    PointId local;  // The owner shard's local id.
     bool now_core;
     Point point;
   };
@@ -273,11 +274,10 @@ class ShardedClusterer : public Clusterer {
   void ApplyOp(Shard& shard, const Op& op);
   /// Fixes the partition from the warmup buffer and replays it in order.
   void FinishWarmup();
-  /// Labels callback for BoundaryStitcher: the keys of `gid` in the frozen
-  /// shard snapshots `shards` (one per slab, this epoch).
-  void LabelsOf(const std::vector<std::shared_ptr<const GridSnapshot>>& shards,
-                PointId gid,
-                std::vector<BoundaryStitcher::LabelKey>* out) const;
+  /// Where boundary point `gid` sits for the stitcher: local id `local` in
+  /// its owner shard `owner`, plus the live local ids of its replicas.
+  BoundaryStitcher::Holders StitchHolders(PointId gid, int owner,
+                                          PointId local) const;
   /// Freezes every shard's query state into frozen_. Requires quiescent
   /// workers (call after the drain barrier).
   void FreezeShards();

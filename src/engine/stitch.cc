@@ -16,10 +16,14 @@ BoundaryStitcher::BoundaryStitcher(int dim, double eps)
   DDC_CHECK(eps > 0);
 }
 
-void BoundaryStitcher::AddCore(int shard, PointId gid, const Point& p) {
+void BoundaryStitcher::AddCore(PointId gid, const Point& p,
+                               const Holders& at) {
+  DDC_CHECK(at.owner >= 0 && at.local != kInvalidPoint);
+  DDC_CHECK(at.owner > 0 || at.below == kInvalidPoint);
   auto [rec, inserted] = points_.Emplace(gid);
   DDC_CHECK(inserted && "AddCore of an already-registered point");
-  rec->shard = shard;
+  const int shard = at.owner;
+  rec->at = at;
   rec->point = p;
   if (shard >= static_cast<int>(per_shard_points_.size())) {
     per_shard_points_.resize(shard + 1, 0);
@@ -39,7 +43,7 @@ void BoundaryStitcher::AddCore(int shard, PointId gid, const Point& p) {
     if (const std::vector<PointId>* bucket = cells_.Find(probe)) {
       for (const PointId other : *bucket) {
         PointRec* orec = points_.Find(other);
-        if (orec->shard == shard) continue;
+        if (orec->at.owner == shard) continue;
         if (!WithinSquared(p, orec->point, dim_, eps_sq_)) continue;
         orec->edges.push_back(gid);
         rec->edges.push_back(other);
@@ -88,7 +92,7 @@ void BoundaryStitcher::RemoveCore(PointId gid) {
   }
   if (bucket.empty()) cells_.Erase(home);
 
-  --per_shard_points_[rec->shard];
+  --per_shard_points_[rec->at.owner];
   points_.Erase(gid);
 }
 
@@ -102,8 +106,7 @@ int32_t BoundaryStitcher::InternKey(LabelTable& table, UnionFind& uf,
 
 std::shared_ptr<const BoundaryStitcher::LabelTable>
 BoundaryStitcher::BuildTable(
-    const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of)
-    const {
+    const std::vector<std::shared_ptr<const GridSnapshot>>& shards) const {
   // A fresh table per epoch: snapshots holding the previous one keep
   // resolving against their own frozen epoch.
   auto table = std::make_shared<LabelTable>();
@@ -113,17 +116,22 @@ BoundaryStitcher::BuildTable(
   // locally core contributes a key; all of one point's keys collapse.
   // Remember each point's owner key index for the edge pass.
   FlatHashMap<PointId, int32_t> owner_key;
-  std::vector<LabelKey> keys;
+  owner_key.Reserve(points_.size());
   points_.ForEach([&](const PointId& gid, const PointRec& rec) {
-    keys.clear();
-    labels_of(gid, &keys);
-    // Registered points are core in their owner shard by construction, and
-    // labels_of lists the owner first.
-    DDC_CHECK(!keys.empty() && keys[0].shard == rec.shard);
-    const int32_t first = InternKey(*table, uf, keys[0]);
+    const int32_t owner = rec.at.owner;
+    const GridSnapshot& own = *shards[owner];
+    // Registered points are core in their owner shard by construction.
+    DDC_CHECK(own.is_core(rec.at.local));
+    const int32_t first = InternKey(
+        *table, uf, LabelKey{owner, own.CoreLabelOf(rec.at.local)});
     owner_key[gid] = first;
-    for (size_t i = 1; i < keys.size(); ++i) {
-      uf.Union(first, InternKey(*table, uf, keys[i]));
+    for (const auto& [t, local] : {std::pair{owner - 1, rec.at.below},
+                                   std::pair{owner + 1, rec.at.above}}) {
+      if (local == kInvalidPoint) continue;
+      const GridSnapshot& ghost = *shards[t];
+      if (!ghost.is_core(local)) continue;
+      uf.Union(first, InternKey(*table, uf,
+                                LabelKey{t, ghost.CoreLabelOf(local)}));
     }
   });
 

@@ -2,11 +2,11 @@
 #define DDC_ENGINE_STITCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/flat_hash.h"
+#include "core/cluster_snapshot.h"
 #include "geom/point.h"
 #include "grid/cell_key.h"
 #include "unionfind/union_find.h"
@@ -72,10 +72,25 @@ class BoundaryStitcher {
   /// connectivity must be preserved verbatim at rho == 0).
   BoundaryStitcher(int dim, double eps);
 
-  /// Registers boundary core point `gid`, owned by `shard`, at `p`, and
-  /// discovers its cross-shard edges. Strict transition discipline: `gid`
-  /// must not be registered.
-  void AddCore(int shard, PointId gid, const Point& p);
+  /// Where a registered point sits: its owner shard's slab index and the
+  /// point's local id there, plus its local ids in the slabs just below and
+  /// above the owner (kInvalidPoint where it has no live replica). Holder
+  /// ranges are contiguous and slabs at least 2·halo wide, so no other
+  /// shard holds it, and at most one of the two does (both only if float
+  /// rounding put two cuts a hair under 2·halo apart).
+  struct Holders {
+    int32_t owner = -1;
+    PointId local = kInvalidPoint;
+    PointId below = kInvalidPoint;
+    PointId above = kInvalidPoint;
+  };
+
+  /// Registers boundary core point `gid` at `p`, held as `at` says, and
+  /// discovers its cross-shard edges. A replica already gone at
+  /// registration (the point died later in the same epoch; its
+  /// unregistration follows in the same fold) is simply absent. Strict
+  /// transition discipline: `gid` must not be registered.
+  void AddCore(PointId gid, const Point& p, const Holders& at);
 
   /// Unregisters `gid` (owner demoted or deleted it) and drops its edges.
   void RemoveCore(PointId gid);
@@ -140,21 +155,20 @@ class BoundaryStitcher {
 
   /// Rebuilds the label union-find for the current epoch into a fresh
   /// LabelTable (the previous table object is left untouched for snapshots
-  /// still holding it). For every registered point, `labels_of(gid, &keys)`
-  /// must append one LabelKey per shard where the point is *currently
-  /// locally core* — owner first (owner-core is an invariant of
-  /// registration). All of a point's keys are unioned together (same-point
-  /// rule), and every cross-shard edge unions its endpoints' owner keys
-  /// (edge rule).
-  void Rebuild(
-      const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of) {
-    table_ = BuildTable(labels_of);
+  /// still holding it), reading core bits and labels from `shards` — the
+  /// frozen snapshots of this epoch, indexed by slab — through the local ids
+  /// stored at registration. Every registered point contributes its owner
+  /// key (owner-core is the registration invariant) and the key of each
+  /// replica that is locally core too; one point's keys are unioned
+  /// (same-point rule), and every cross-shard edge unions its endpoints'
+  /// owner keys (edge rule).
+  void Rebuild(const std::vector<std::shared_ptr<const GridSnapshot>>& shards) {
+    table_ = BuildTable(shards);
   }
 
   /// The table Rebuild would install, without installing it.
   std::shared_ptr<const LabelTable> BuildTable(
-      const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of)
-      const;
+      const std::vector<std::shared_ptr<const GridSnapshot>>& shards) const;
 
   /// Canonical label for shard-local component `cc` of `shard`, as of the
   /// last Rebuild (identity before the first one).
@@ -167,7 +181,7 @@ class BoundaryStitcher {
 
  private:
   struct PointRec {
-    int32_t shard;
+    Holders at;
     Point point;
     std::vector<PointId> edges;  // Cross-shard partners within eps.
   };

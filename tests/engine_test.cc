@@ -1,10 +1,13 @@
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cluster_snapshot.h"
+#include "core/fully_dynamic_clusterer.h"
 #include "engine/shard_map.h"
 #include "engine/stitch.h"
 #include "engine/thread_pool.h"
@@ -254,14 +257,17 @@ TEST(ShardMapTest, MergeSlabsIsTheInverseOfSplit) {
 // ---------------------------------------------------------------------------
 // BoundaryStitcher
 
-using LabelKey = BoundaryStitcher::LabelKey;
+using Holders = BoundaryStitcher::Holders;
+
+/// Owned by `shard` under local id `local`, with no replica.
+Holders Owned(int shard, PointId local) { return Holders{shard, local}; }
 
 TEST(BoundaryStitcherTest, EdgesRequireCrossShardAndProximity) {
   BoundaryStitcher stitch(2, /*eps=*/10.0);
-  stitch.AddCore(0, 1, P2(0, 0));
-  stitch.AddCore(0, 2, P2(5, 0));    // Same shard: no edge.
-  stitch.AddCore(1, 3, P2(8, 0));    // Cross shard, within 10: edge to 1 & 2.
-  stitch.AddCore(1, 4, P2(100, 0));  // Too far: no edge.
+  stitch.AddCore(1, P2(0, 0), Owned(0, 0));
+  stitch.AddCore(2, P2(5, 0), Owned(0, 1));    // Same shard: no edge.
+  stitch.AddCore(3, P2(8, 0), Owned(1, 0));    // Cross shard: edge to 1 & 2.
+  stitch.AddCore(4, P2(100, 0), Owned(1, 1));  // Too far: no edge.
   EXPECT_EQ(stitch.num_points(), 4);
   EXPECT_EQ(stitch.num_edges(), 2);
   EXPECT_EQ(stitch.boundary_count(0), 2);
@@ -273,37 +279,58 @@ TEST(BoundaryStitcherTest, EdgesRequireCrossShardAndProximity) {
   EXPECT_FALSE(stitch.Contains(3));
 
   // Re-adding rediscovers the edges symmetrically.
-  stitch.AddCore(1, 3, P2(8, 0));
+  stitch.AddCore(3, P2(8, 0), Owned(1, 0));
   EXPECT_EQ(stitch.num_edges(), 2);
 }
 
+/// Frozen shards for the rebuild tests: one FullyDynamicClusterer per
+/// shard at ε = 1, MinPts = 1 (every point core, points farther than 1
+/// apart in distinct components), each holding `points` in local-id order.
+std::vector<std::shared_ptr<const GridSnapshot>> FrozenShards(
+    const std::vector<std::vector<Point>>& points) {
+  DbscanParams params;
+  params.dim = 2;
+  params.eps = 1.0;
+  params.min_pts = 1;
+  std::vector<std::shared_ptr<const GridSnapshot>> shards;
+  for (const std::vector<Point>& held : points) {
+    FullyDynamicClusterer shard(params);
+    for (const Point& p : held) shard.Insert(p);
+    shards.push_back(
+        std::static_pointer_cast<const GridSnapshot>(shard.Snapshot()));
+  }
+  return shards;
+}
+
 TEST(BoundaryStitcherTest, RebuildUnionsAcrossEdgesAndSamePoint) {
+  // Point 1 is owned by shard 0 and replicated into shard 1 (local 0),
+  // where it is locally core in a component of its own; point 2 is owned
+  // by shard 1 (local 1) within the stitch radius of point 1; point 3 sits
+  // alone in shard 2.
+  const auto shards =
+      FrozenShards({{P2(0, 0)}, {P2(0, 0), P2(6, 0)}, {P2(50, 0)}});
+  const uint64_t own1 = shards[0]->CoreLabelOf(0);
+  const uint64_t ghost1 = shards[1]->CoreLabelOf(0);
+  const uint64_t own2 = shards[1]->CoreLabelOf(1);
+  const uint64_t own3 = shards[2]->CoreLabelOf(0);
+  ASSERT_NE(ghost1, own2);
+
   BoundaryStitcher stitch(2, 10.0);
-  stitch.AddCore(0, 1, P2(0, 0));
-  stitch.AddCore(1, 2, P2(6, 0));   // Edge 1-2 across shards 0/1.
-  stitch.AddCore(2, 3, P2(50, 0));  // Isolated in shard 2.
+  Holders at1 = Owned(0, 0);
+  at1.above = 0;
+  stitch.AddCore(1, P2(0, 0), at1);
+  stitch.AddCore(2, P2(6, 0), Owned(1, 1));   // Edge 1-2 across shards.
+  stitch.AddCore(3, P2(50, 0), Owned(2, 0));  // Isolated.
+  stitch.Rebuild(shards);
 
-  stitch.Rebuild([](PointId gid, std::vector<LabelKey>* out) {
-    // Owner labels 10*gid; point 1 is additionally locally core in shard 1
-    // under that shard's label 77 (the same-point rule must merge it).
-    if (gid == 1) {
-      out->push_back({0, 10});
-      out->push_back({1, 77});
-    } else if (gid == 2) {
-      out->push_back({1, 20});
-    } else {
-      out->push_back({2, 30});
-    }
-  });
-
-  const ClusterLabel a = stitch.Resolve(0, 10);
+  const ClusterLabel a = stitch.Resolve(0, own1);
   EXPECT_EQ(a.shard, ClusterLabel::kStitchedShard);
-  // Edge rule: shard 0's component 10 and shard 1's component 20 merge.
-  EXPECT_EQ(stitch.Resolve(1, 20), a);
-  // Same-point rule: shard 1's component 77 contains point 1 too.
-  EXPECT_EQ(stitch.Resolve(1, 77), a);
+  // Edge rule: point 1's and point 2's owner components merge.
+  EXPECT_EQ(stitch.Resolve(1, own2), a);
+  // Same-point rule: shard 1's component holding point 1's replica too.
+  EXPECT_EQ(stitch.Resolve(1, ghost1), a);
   // Shard 2's component is interned but alone.
-  const ClusterLabel c = stitch.Resolve(2, 30);
+  const ClusterLabel c = stitch.Resolve(2, own3);
   EXPECT_NE(c, a);
   // Labels never seen by the stitch resolve to themselves.
   const ClusterLabel raw = stitch.Resolve(3, 99);
@@ -311,24 +338,26 @@ TEST(BoundaryStitcherTest, RebuildUnionsAcrossEdgesAndSamePoint) {
   EXPECT_EQ(raw.id, 99u);
   EXPECT_NE(raw, a);
   EXPECT_NE(raw, c);
+
+  // FullSnapshot's path: the same table without installing it.
+  EXPECT_EQ(stitch.BuildTable(shards)->Resolve(1, ghost1),
+            stitch.table()->Resolve(1, ghost1));
 }
 
 TEST(BoundaryStitcherTest, RebuildTracksCurrentEdgesOnly) {
+  const auto shards = FrozenShards({{P2(0, 0)}, {P2(6, 0)}});
+  const uint64_t own1 = shards[0]->CoreLabelOf(0);
+  const uint64_t own2 = shards[1]->CoreLabelOf(0);
   BoundaryStitcher stitch(2, 10.0);
-  stitch.AddCore(0, 1, P2(0, 0));
-  stitch.AddCore(1, 2, P2(6, 0));
-  auto labels = [](PointId gid, std::vector<LabelKey>* out) {
-    out->push_back({gid == 1 ? 0 : 1, static_cast<uint64_t>(gid * 10)});
-  };
-  stitch.Rebuild(labels);
-  EXPECT_EQ(stitch.Resolve(0, 10), stitch.Resolve(1, 20));
+  stitch.AddCore(1, P2(0, 0), Owned(0, 0));
+  stitch.AddCore(2, P2(6, 0), Owned(1, 0));
+  stitch.Rebuild(shards);
+  EXPECT_EQ(stitch.Resolve(0, own1), stitch.Resolve(1, own2));
 
   stitch.RemoveCore(2);
-  stitch.Rebuild([](PointId, std::vector<LabelKey>* out) {
-    out->push_back({0, 10});
-  });
+  stitch.Rebuild(shards);
   // The old union is gone: shard 1's label is raw again.
-  EXPECT_EQ(stitch.Resolve(1, 20).shard, 1);
+  EXPECT_EQ(stitch.Resolve(1, own2).shard, 1);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <map>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -150,6 +151,19 @@ TEST(EulerTourForestFuzzTest, MatchesRecomputedConnectivity) {
         const int b = static_cast<int>(rng.NextBelow(n));
         ASSERT_EQ(f.Connected(a, b), uf.Connected(a, b))
             << "step " << step << " pair " << a << "," << b;
+      }
+      // The batch lookup returns Representative's node (untouched vertices
+      // excepted) and climbs each splay node at most once: there are at
+      // most n self-arcs plus two arcs per tree edge.
+      std::vector<int> all(n);
+      std::iota(all.begin(), all.end(), 0);
+      std::vector<const EttNode*> heads;
+      ASSERT_LE(f.TourHeads(all, &heads),
+                static_cast<int64_t>(n + 2 * tree.size()));
+      for (int a = 0; a < n; ++a) {
+        if (heads[a] != nullptr) {
+          ASSERT_EQ(heads[a], f.Representative(a));
+        }
       }
       // Tree sizes and representatives consistent.
       for (int a = 0; a < n; ++a) {

@@ -12,6 +12,7 @@
 #include "core/cluster_snapshot.h"
 #include "core/clusterer.h"
 #include "core/method_registry.h"
+#include "engine/sharded_clusterer.h"
 #include "persist/snapshot_io.h"
 #include "telemetry/metrics.h"
 #include "tests/test_util.h"
@@ -182,6 +183,142 @@ TEST(IncrementalFreezeTest, ShardedEngineMatchesAFullFreezeUnderRebalance) {
   // reshaped the slabs between freezes.
   EXPECT_GT(Counter("engine.rebalance.splits"), splits);
   EXPECT_GT(Counter("engine.rebalance.merges"), merges);
+}
+
+/// The stitch rebuild reads the frozen shards through the local ids cached
+/// when each boundary point registered. A scripted two-slab engine at
+/// rho == 0 (cut at x = 50, halo 1), checked after every flush three ways:
+/// the published epoch against FullSnapshot() (bytes and queries) and
+/// against exact DBSCAN over the alive points.
+class CachedStitchIdsTest : public ::testing::Test {
+ protected:
+  CachedStitchIdsTest()
+      : params_{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0},
+        dir_(TempDir("stitch_ids")) {}
+
+  void Make(const ShardedClusterer::Options& options) {
+    engine_ = std::make_unique<ShardedClusterer>(params_, options);
+  }
+
+  PointId Insert(double x, double y) {
+    const PointId gid = engine_->Insert(Point{x, y});
+    points_.push_back(Point{x, y});
+    ids_.push_back(gid);
+    return gid;
+  }
+
+  void Delete(PointId gid) {
+    engine_->Delete(gid);
+    ids_[gid] = kInvalidPoint;
+  }
+
+  void FlushAndCheck(const std::string& what) {
+    SCOPED_TRACE(what);
+    const std::shared_ptr<const ClusterSnapshot> published =
+        engine_->Snapshot();
+    const std::shared_ptr<const ClusterSnapshot> full =
+        engine_->FullSnapshot();
+    ASSERT_EQ(Mismatch(SavedBytes(*published, params_, dir_ + "/pub.snap"),
+                       SavedBytes(*full, params_, dir_ + "/full.snap")),
+              "");
+    const std::vector<PointId> alive = engine_->AlivePoints();
+    ASSERT_EQ(CanonicalQuery(*published, alive), CanonicalQuery(*full, alive));
+    ASSERT_EQ(RemapToInsertionIndex(engine_->QueryAll(), ids_),
+              OracleOverAlive(points_, ids_, params_));
+  }
+
+  DbscanParams params_;
+  std::string dir_;
+  std::unique_ptr<ShardedClusterer> engine_;
+  std::vector<Point> points_;  // By gid (gids are insertion indices).
+  std::vector<PointId> ids_;   // Insertion index -> gid, or kInvalidPoint.
+};
+
+ShardedClusterer::Options TwoSlabs() {
+  ShardedClusterer::Options options;
+  options.shards = 2;
+  options.threads = 2;
+  options.batch = 4;
+  options.warmup = 2;  // The two anchors below fix the cut at x = 50.
+  return options;
+}
+
+TEST_F(CachedStitchIdsTest, BoundaryPointPromotedAndDeletedInOneEpoch) {
+  Make(TwoSlabs());
+  Insert(0, 0);
+  Insert(100, 0);
+  // A core chain across the cut: one cluster, stitched at the boundary.
+  std::vector<PointId> chain;
+  for (int i = 0; i <= 8; ++i) chain.push_back(Insert(48 + 0.5 * i, 0));
+  // A cluster owned by slab 0 whose replicas are core in slab 1 too, and a
+  // border point of it owned by slab 1: only the replicas' cached ids tie
+  // slab 1's label of that cluster to slab 0's (same-point rule).
+  for (const double x : {49.2, 49.4, 49.6, 49.8}) Insert(x, 10);
+  const PointId border = Insert(50.7, 10);
+  FlushAndCheck("chain");
+  ASSERT_EQ(engine_->shard_map().cuts(), std::vector<double>{50});
+  const int64_t registered = engine_->num_boundary_points();
+  ASSERT_GT(registered, 0);
+  EXPECT_TRUE(engine_->SameCluster(chain.front(), chain.back()));
+  EXPECT_TRUE(engine_->SameCluster(border, border - 1));
+
+  // Owned by slab 0 within the halo of slab 1, core on arrival (two chain
+  // points within eps), then deleted before the next flush: at fold time
+  // its promotion meets a replica slab 1 has already dropped.
+  const PointId q = Insert(49.7, 0.8);
+  const PointId r = Insert(50.3, -0.9);  // The mirror case, owned by slab 1.
+  Delete(q);
+  Delete(r);
+  FlushAndCheck("promoted and deleted");
+  EXPECT_EQ(engine_->num_boundary_points(), registered);
+
+  // Cut the chain at the boundary (the cluster splits), then mend it (the
+  // halves merge again): each rebuild reads the survivors' cached ids.
+  Delete(chain[4]);
+  Delete(chain[5]);
+  FlushAndCheck("split at the cut");
+  EXPECT_FALSE(engine_->SameCluster(chain.front(), chain.back()));
+  Insert(50, 0);
+  Insert(50.5, 0);
+  FlushAndCheck("merged again");
+  EXPECT_TRUE(engine_->SameCluster(chain.front(), chain.back()));
+}
+
+TEST_F(CachedStitchIdsTest, SplitAndMergeThenRebuild) {
+  ShardedClusterer::Options options = TwoSlabs();
+  options.rebalance.enabled = true;
+  options.rebalance.epochs = 1;
+  options.rebalance.cooldown = 0;
+  options.rebalance.min_points = 32;
+  options.rebalance.max_shards = 3;
+  Make(options);
+  Insert(0, 0);
+  Insert(100, 0);
+
+  // A dense blob in slab 0 makes it hot: the split cuts through the blob's
+  // middle, and the re-registered boundary points carry their new ids.
+  std::vector<PointId> blob;
+  for (int i = 0; i < 400; ++i) {
+    blob.push_back(Insert(20 + 0.5 * (i % 40), 0.5 * (i / 40)));
+  }
+  FlushAndCheck("split");
+  ASSERT_EQ(engine_->rebalance_splits(), 1);
+  ASSERT_GT(engine_->num_boundary_points(), 0);
+  EXPECT_TRUE(engine_->SameCluster(blob.front(), blob.back()));
+
+  // The blob moves to the top slab: at the shard ceiling the controller
+  // merges the two emptied slabs to make room, then re-splits.
+  for (const PointId gid : blob) Delete(gid);
+  blob.clear();
+  for (int i = 0; i < 400; ++i) {
+    blob.push_back(Insert(70 + 0.5 * (i % 40), 0.5 * (i / 40)));
+  }
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    FlushAndCheck("epoch " + std::to_string(epoch) + " after the move");
+    Insert(1 + epoch, 30);  // Keeps every flush dirty.
+  }
+  EXPECT_GE(engine_->rebalance_merges(), 1);
+  EXPECT_TRUE(engine_->SameCluster(blob.front(), blob.back()));
 }
 
 }  // namespace
