@@ -1,18 +1,19 @@
 // google-benchmark microbenchmarks of the individual substrates: union-find,
 // Euler-tour forests, HDT connectivity, grid maintenance, emptiness queries,
-// range counting, and the flat-hash / packed-coordinate layouts the hot
+// the capped core count, and the flat-hash / packed-coordinate layouts the hot
 // paths run on. These are the per-operation costs the amortized analyses of
 // Theorems 1 and 4 are built from.
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
 #include <unordered_map>
 
 #include "common/flat_hash.h"
 #include "common/random.h"
 #include "connectivity/hdt.h"
 #include "core/emptiness.h"
-#include "counting/approx_counter.h"
+#include "core/relaxed_core_tracker.h"
 #include "geom/simd_kernels.h"
 #include "grid/grid.h"
 #include "unionfind/union_find.h"
@@ -80,7 +81,7 @@ void BM_Hdt_InsertDeleteMix(benchmark::State& state) {
 }
 BENCHMARK(BM_Hdt_InsertDeleteMix)->Arg(512)->Arg(4096);
 
-void BM_Hdt_ComponentId(benchmark::State& state) {
+void BM_Hdt_ComponentIds(benchmark::State& state) {
   const int n = 4096;
   HdtConnectivity c;
   c.EnsureVertices(n);
@@ -90,12 +91,17 @@ void BM_Hdt_ComponentId(benchmark::State& state) {
     const int v = static_cast<int>(rng.NextBelow(n));
     if (u != v && !c.Connected(u, v)) c.AddEdge(u, v);
   }
+  // The snapshot label pass: one batch call over every vertex.
+  std::vector<int> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<uint64_t> labels;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        c.ComponentId(static_cast<int>(rng.NextBelow(n))));
+    c.ComponentIdsReadOnly(all, &labels);
+    benchmark::DoNotOptimize(labels.data());
   }
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Hdt_ComponentId);
+BENCHMARK(BM_Hdt_ComponentIds);
 
 void BM_Grid_InsertDelete(benchmark::State& state) {
   const int dim = static_cast<int>(state.range(0));
@@ -118,46 +124,46 @@ void BM_Grid_InsertDelete(benchmark::State& state) {
 BENCHMARK(BM_Grid_InsertDelete)->Arg(2)->Arg(3)->Arg(7);
 
 void BM_Emptiness_Query(benchmark::State& state) {
-  const bool subgrid = state.range(0) == 1;
   DbscanParams params{.dim = 3, .eps = 300.0, .min_pts = 10, .rho = 0.001};
   Grid grid(3, params.eps);
-  auto s = MakeEmptinessStructure(
-      subgrid ? EmptinessKind::kSubGrid : EmptinessKind::kBruteForce, &grid,
-      params);
   Rng rng(6);
+  // 200 members in the cell [0, side)^3.
+  std::vector<PointId> ids;
   for (int i = 0; i < 200; ++i) {
     Point p;
     for (int k = 0; k < 3; ++k) p[k] = rng.NextDouble(0, grid.side());
-    s->Insert(grid.Insert(p).id);
+    ids.push_back(grid.Insert(p).id);
   }
+  std::vector<int32_t> slots;
+  EmptinessStructure s(&grid, params, grid.cell_box(grid.cell_of(ids[0])),
+                       &slots);
+  for (const PointId id : ids) s.Insert(id);
   for (auto _ : state) {
     Point q;
     for (int k = 0; k < 3; ++k) q[k] = rng.NextDouble(-300, 300 + grid.side());
-    benchmark::DoNotOptimize(s->Query(q));
+    benchmark::DoNotOptimize(s.Query(q));
   }
 }
-BENCHMARK(BM_Emptiness_Query)->Arg(0)->Arg(1);
+BENCHMARK(BM_Emptiness_Query);
 
-void BM_Counter_Count(benchmark::State& state) {
-  const bool subgrid = state.range(0) == 1;
+void BM_CoreCount(benchmark::State& state) {
   DbscanParams params{.dim = 3, .eps = 300.0, .min_pts = 10, .rho = 0.001};
   Grid grid(3, params.eps);
-  ApproxRangeCounter counter(
-      &grid, params, subgrid ? CounterKind::kSubGrid : CounterKind::kExact);
+  // The count reads only the grid, so the tracker needs no update calls.
+  RelaxedCoreTracker tracker(&grid, params);
   Rng rng(7);
+  std::vector<PointId> ids;
   for (int i = 0; i < 5000; ++i) {
     Point p;
     for (int k = 0; k < 3; ++k) p[k] = rng.NextDouble(0, 3000.0);
-    const auto ins = grid.Insert(p);
-    counter.OnInsert(ins.id, ins.cell);
+    ids.push_back(grid.Insert(p).id);
   }
   for (auto _ : state) {
-    Point q;
-    for (int k = 0; k < 3; ++k) q[k] = rng.NextDouble(0, 3000.0);
-    benchmark::DoNotOptimize(counter.Count(q, params.min_pts));
+    benchmark::DoNotOptimize(
+        tracker.Count(ids[rng.NextBelow(ids.size())], params.min_pts));
   }
 }
-BENCHMARK(BM_Counter_Count)->Arg(0)->Arg(1);
+BENCHMARK(BM_CoreCount);
 
 // --- Hash-table layout: FlatHashMap vs std::unordered_map -------------------
 // The access pattern mirrors the clusterer hot paths: tables keyed by packed
@@ -221,7 +227,7 @@ void BM_StdUnorderedMap_LookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_StdUnorderedMap_LookupHit)->Arg(1024)->Arg(65536);
 
-// CellKey-keyed tables are the hot case (cell index, sub-grid buckets): the
+// CellKey-keyed tables are the hot case (the grid's cell index): the
 // key is 32 bytes, the hash is 8 mixes, and the flat table both caches the
 // hash per slot and accepts it precomputed (FindHashed) the way the grid
 // threads it through each operation.

@@ -15,18 +15,13 @@ bool AbcpInstance::Initialize(const Grid& grid, CellCoreState& s1,
     std::swap(small, big);
     small_is_c1 = false;
   }
-  PointId found_small = kInvalidPoint, found_big = kInvalidPoint;
-  small->core_set->ForEach([&](PointId p) {
-    if (found_small != kInvalidPoint) return;
+  for (const PointId p : small->core_set->members()) {
     const PointId proof = big->core_set->Query(grid.point(p));
     if (proof != kInvalidPoint) {
-      found_small = p;
-      found_big = proof;
+      w1_ = small_is_c1 ? p : proof;
+      w2_ = small_is_c1 ? proof : p;
+      break;
     }
-  });
-  if (found_small != kInvalidPoint) {
-    w1_ = small_is_c1 ? found_small : found_big;
-    w2_ = small_is_c1 ? found_big : found_small;
   }
   cur1_ = s1.log.size();
   cur2_ = s2.log.size();

@@ -2,6 +2,7 @@
 #define DDC_CORE_ABCP_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/flat_hash.h"

@@ -1,271 +1,64 @@
 #include "core/emptiness.h"
 
-#include <cmath>
-
 #include "common/check.h"
-#include "common/flat_hash.h"
 #include "geom/simd_kernels.h"
-#include "grid/cell_key.h"
-#include "spatial/kd_tree.h"
 
 namespace ddc {
-namespace {
 
-/// Shared cell-box prefilter: true when the query provably misses every
-/// point inside `box` at radius² `r_sq` (see kBoxPrefilterSlack).
-inline bool BoxMiss(const Box* box, bool has_box, const Point& q, int dim,
-                    double r_sq) {
-  return has_box &&
-         box->MinSquaredDistance(q, dim) > r_sq * (1 + kBoxPrefilterSlack);
+EmptinessStructure::EmptinessStructure(const Grid* grid,
+                                       const DbscanParams& params,
+                                       const Box& cell_box,
+                                       std::vector<int32_t>* slot_registry)
+    : grid_(grid),
+      dim_(params.dim),
+      outer_sq_(params.eps_outer() * params.eps_outer()),
+      box_(cell_box),
+      slots_(slot_registry) {}
+
+void EmptinessStructure::Insert(PointId p) {
+  if (static_cast<size_t>(p) >= slots_->size()) slots_->resize(p + 1);
+  (*slots_)[p] = static_cast<int32_t>(members_.size());
+  members_.push_back(p);
+  const Point& pt = grid_->point(p);
+  for (int k = 0; k < dim_; ++k) coords_.push_back(pt[k]);
 }
 
-/// Flat vector of members with an id->position map for O(1) swap-removal.
-/// Member coordinates are mirrored in a packed array (`dim` doubles per
-/// member, same order), so Query — the aBCP witness probe, the hottest
-/// emptiness call — streams memory sequentially.
-class BruteForceEmptiness final : public EmptinessStructure {
- public:
-  BruteForceEmptiness(const Grid* grid, const DbscanParams& params,
-                      const Box* cell_box, std::vector<int32_t>* slots)
-      : grid_(grid),
-        dim_(params.dim),
-        outer_sq_(params.eps_outer() * params.eps_outer()),
-        has_box_(cell_box != nullptr),
-        box_(cell_box != nullptr ? *cell_box : Box()),
-        slots_(slots) {}
-
-  void Insert(PointId p) override {
-    const int32_t i = static_cast<int32_t>(members_.size());
-    if (slots_ != nullptr) {
-      if (static_cast<size_t>(p) >= slots_->size()) slots_->resize(p + 1);
-      (*slots_)[p] = i;
-    } else {
-      DDC_DCHECK(!pos_.Contains(p));
-      pos_[p] = i;
-    }
-    members_.push_back(p);
-    const Point& pt = grid_->point(p);
-    for (int k = 0; k < dim_; ++k) coords_.push_back(pt[k]);
+void EmptinessStructure::Remove(PointId p) {
+  const int32_t i = (*slots_)[p];
+  DDC_DCHECK(static_cast<size_t>(i) < members_.size() && members_[i] == p);
+  const PointId last = members_.back();
+  members_[i] = last;
+  (*slots_)[last] = i;
+  members_.pop_back();
+  const size_t last_start = coords_.size() - dim_;
+  for (int k = 0; k < dim_; ++k) {
+    coords_[i * dim_ + k] = coords_[last_start + k];
   }
+  coords_.resize(last_start);
+}
 
-  void Remove(PointId p) override {
-    int32_t i;
-    if (slots_ != nullptr) {
-      i = (*slots_)[p];
-      DDC_DCHECK(static_cast<size_t>(i) < members_.size() &&
-                 members_[i] == p);
-    } else {
-      int32_t* slot = pos_.Find(p);
-      DDC_CHECK(slot != nullptr);
-      i = *slot;
-    }
-    const PointId last = members_.back();
-    members_[i] = last;
-    if (slots_ != nullptr) {
-      (*slots_)[last] = i;
-    } else {
-      pos_[last] = i;
-      pos_.Erase(p);
-    }
-    members_.pop_back();
-    const size_t last_start = coords_.size() - dim_;
-    for (int k = 0; k < dim_; ++k) {
-      coords_[i * dim_ + k] = coords_[last_start + k];
-    }
-    coords_.resize(last_start);
-  }
+bool EmptinessStructure::Contains(PointId p) const {
+  // Stale registry entries are harmless: the slot is validated against the
+  // member list (a non-member can never pass — members_ holds only members).
+  if (static_cast<size_t>(p) >= slots_->size()) return false;
+  const int32_t i = (*slots_)[p];
+  return static_cast<size_t>(i) < members_.size() && members_[i] == p;
+}
 
-  int size() const override { return static_cast<int>(members_.size()); }
-
-  bool Contains(PointId p) const override {
-    if (slots_ != nullptr) {
-      // Stale registry entries are harmless: the slot is validated against
-      // the member list (a non-member can never pass — members_ holds only
-      // members).
-      if (static_cast<size_t>(p) >= slots_->size()) return false;
-      const int32_t i = (*slots_)[p];
-      return static_cast<size_t>(i) < members_.size() && members_[i] == p;
-    }
-    return pos_.Contains(p);
-  }
-
-  PointId Query(const Point& q) const override {
-    if (BoxMiss(&box_, has_box_, q, dim_, outer_sq_)) return kInvalidPoint;
-    // Newest-first: any member within range is a valid proof, and recently
-    // promoted members make longer-lived aBCP witnesses under FIFO churn
-    // (the oldest member is the next one to expire). The batched tail-first
-    // probe preserves that order.
-    const int i = FindLastWithinPacked(q, coords_.data(),
-                                       static_cast<int>(members_.size()),
-                                       dim_, outer_sq_);
-    return i >= 0 ? members_[i] : kInvalidPoint;
-  }
-
-  void ForEach(const std::function<void(PointId)>& fn) const override {
-    for (const PointId p : members_) fn(p);
-  }
-
- private:
-  const Grid* grid_;
-  int dim_;
-  double outer_sq_;
-  bool has_box_;
-  Box box_;
-  std::vector<int32_t>* slots_;  // Shared registry; nullptr -> use pos_.
-  std::vector<PointId> members_;
-  std::vector<double> coords_;
-  FlatHashMap<PointId, int32_t> pos_;
-};
-
-/// Members bucketed on a sub-grid of side ρε/(2√d). A bucket has diameter at
-/// most ρε/2, so testing one representative against radius ε(1+ρ/2) is a
-/// conforming approximate emptiness query (see header).
-class SubGridEmptiness final : public EmptinessStructure {
- public:
-  SubGridEmptiness(const Grid* grid, const DbscanParams& params,
-                   const Box* cell_box)
-      : grid_(grid),
-        dim_(params.dim),
-        sub_side_(params.rho * params.eps /
-                  (2.0 * std::sqrt(static_cast<double>(params.dim)))),
-        test_radius_sq_(params.eps * (1 + params.rho / 2) * params.eps *
-                        (1 + params.rho / 2)),
-        has_box_(cell_box != nullptr),
-        box_(cell_box != nullptr ? *cell_box : Box()) {
-    DDC_CHECK(params.rho > 0);
-  }
-
-  void Insert(PointId p) override {
-    const CellKey key = SubKey(p);
-    buckets_.EmplaceHashed(key.Hash(), key).first->push_back(p);
-    ++size_;
-  }
-
-  void Remove(PointId p) override {
-    const CellKey key = SubKey(p);
-    const uint64_t hash = key.Hash();
-    std::vector<PointId>* v = buckets_.FindHashed(hash, key);
-    DDC_CHECK(v != nullptr);
-    for (size_t i = 0; i < v->size(); ++i) {
-      if ((*v)[i] == p) {
-        (*v)[i] = v->back();
-        v->pop_back();
-        if (v->empty()) buckets_.EraseHashed(hash, key);
-        --size_;
-        return;
-      }
-    }
-    DDC_CHECK(false);  // Member not found.
-  }
-
-  int size() const override { return size_; }
-
-  bool Contains(PointId p) const override {
-    const CellKey key = SubKey(p);
-    const std::vector<PointId>* v = buckets_.FindHashed(key.Hash(), key);
-    if (v == nullptr) return false;
-    for (const PointId m : *v) {
-      if (m == p) return true;
-    }
-    return false;
-  }
-
-  PointId Query(const Point& q) const override {
-    // Bucket representatives are members, hence inside the cell box.
-    if (BoxMiss(&box_, has_box_, q, dim_, test_radius_sq_)) {
-      return kInvalidPoint;
-    }
-    for (const auto& [key, members] : buckets_) {
-      DDC_DCHECK(!members.empty());
-      // Testing one representative per bucket is what makes this conforming
-      // (see header); returning the newest keeps witnesses longer-lived
-      // under FIFO churn.
-      if (WithinSquared(q, grid_->point(members[0]), dim_, test_radius_sq_)) {
-        return members.back();
-      }
-    }
+PointId EmptinessStructure::Query(const Point& q) const {
+  // Cell-box prefilter: the query provably misses every member (see
+  // kBoxPrefilterSlack).
+  if (box_.MinSquaredDistance(q, dim_) > outer_sq_ * (1 + kBoxPrefilterSlack)) {
     return kInvalidPoint;
   }
-
-  void ForEach(const std::function<void(PointId)>& fn) const override {
-    for (const auto& [key, members] : buckets_) {
-      for (const PointId p : members) fn(p);
-    }
-  }
-
- private:
-  CellKey SubKey(PointId p) const {
-    return CellKey::Of(grid_->point(p), dim_, sub_side_);
-  }
-
-  const Grid* grid_;
-  int dim_;
-  double sub_side_;
-  double test_radius_sq_;
-  bool has_box_;
-  Box box_;
-  FlatHashMap<CellKey, std::vector<PointId>, CellKeyHash> buckets_;
-  int size_ = 0;
-};
-
-/// Emptiness through the dynamic kd-tree: FindWithin at radius (1+ρ)ε is a
-/// conforming query (any hit is a valid proof; a miss certifies no member
-/// within (1+ρ)ε, in particular none within ε).
-class KdTreeEmptiness final : public EmptinessStructure {
- public:
-  KdTreeEmptiness(const Grid* grid, const DbscanParams& params)
-      : outer_(params.eps_outer()),
-        tree_(grid, &KdTreeEmptiness::Coords, params.dim) {}
-
-  void Insert(PointId p) override {
-    tree_.Insert(p);
-    members_.Insert(p);
-  }
-  void Remove(PointId p) override {
-    tree_.Remove(p);
-    members_.Erase(p);
-  }
-  int size() const override { return tree_.size(); }
-
-  bool Contains(PointId p) const override { return members_.Contains(p); }
-
-  PointId Query(const Point& q) const override {
-    return tree_.FindWithin(q, outer_);
-  }
-
-  void ForEach(const std::function<void(PointId)>& fn) const override {
-    tree_.ForEach(fn);
-  }
-
- private:
-  static const Point& Coords(const void* ctx, PointId id) {
-    return static_cast<const Grid*>(ctx)->point(id);
-  }
-
-  double outer_;
-  KdTree tree_;
-  FlatHashSet<PointId> members_;  // The tree has no id lookup of its own.
-};
-
-}  // namespace
-
-std::unique_ptr<EmptinessStructure> MakeEmptinessStructure(
-    EmptinessKind kind, const Grid* grid, const DbscanParams& params,
-    const Box* cell_box, std::vector<int32_t>* slot_registry) {
-  switch (kind) {
-    case EmptinessKind::kSubGrid:
-      if (params.rho > 0) {
-        return std::make_unique<SubGridEmptiness>(grid, params, cell_box);
-      }
-      break;  // No don't-care band to bucket on: fall back to brute force.
-    case EmptinessKind::kKdTree:
-      // The kd-tree prunes with its own node bounding boxes already.
-      return std::make_unique<KdTreeEmptiness>(grid, params);
-    case EmptinessKind::kBruteForce:
-      break;
-  }
-  return std::make_unique<BruteForceEmptiness>(grid, params, cell_box,
-                                               slot_registry);
+  // Newest-first: any member within range is a valid proof, and recently
+  // promoted members make longer-lived aBCP witnesses under FIFO churn (the
+  // oldest member is the next one to expire). The batched tail-first probe
+  // preserves that order.
+  const int i = FindLastWithinPacked(q, coords_.data(),
+                                     static_cast<int>(members_.size()), dim_,
+                                     outer_sq_);
+  return i >= 0 ? members_[i] : kInvalidPoint;
 }
 
 }  // namespace ddc

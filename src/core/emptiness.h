@@ -1,8 +1,7 @@
 #ifndef DDC_CORE_EMPTINESS_H_
 #define DDC_CORE_EMPTINESS_H_
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "core/params.h"
@@ -21,66 +20,56 @@ namespace ddc {
 ///   always within (1+ρ)ε of q.
 ///
 /// The paper plugs in Arya et al.'s approximate nearest neighbor structure
-/// (Chan's structure for exact 2D). The don't-care band makes much simpler
-/// structures conforming; this library ships two (see DESIGN.md) and
-/// benchmarks them against each other in bench/ablation_emptiness.
+/// (Chan's structure for exact 2D). Any member within (1+ρ)ε is a legal
+/// proof, so a flat scan that stops at the first one, behind a cell-box
+/// prefilter, is conforming; on the paper's workloads it also measured
+/// faster than bucketing the members on a ρε-sized sub-grid.
+///
+/// Members live in a flat vector; their coordinates are mirrored in a packed
+/// array (`dim` doubles per member, same order), so Query — the aBCP witness
+/// probe, the hottest emptiness call — streams memory sequentially.
 class EmptinessStructure {
  public:
-  virtual ~EmptinessStructure() = default;
+  /// `grid` provides point coordinates; `cell_box` bounds the cell whose
+  /// core points the structure holds, so a query answers in O(d) whenever
+  /// even the box's nearest point is beyond (1+ρ)ε — the all-miss witness
+  /// probes that would otherwise scan every member. `slot_registry` is a
+  /// per-point slot array shared by every structure of one clusterer (a
+  /// point is a core member of at most one cell at a time), so membership
+  /// bookkeeping is two array writes. `grid` and `slot_registry` must
+  /// outlive the structure; stale registry entries for non-members are never
+  /// trusted.
+  EmptinessStructure(const Grid* grid, const DbscanParams& params,
+                     const Box& cell_box, std::vector<int32_t>* slot_registry);
 
   /// Adds a core point (must not be present).
-  virtual void Insert(PointId p) = 0;
+  void Insert(PointId p);
 
   /// Removes a core point (must be present).
-  virtual void Remove(PointId p) = 0;
+  void Remove(PointId p);
 
   /// Number of core points in the structure.
-  virtual int size() const = 0;
+  int size() const { return static_cast<int>(members_.size()); }
 
   /// True when `p` is currently a member (the aBCP log de-listing test).
-  virtual bool Contains(PointId p) const = 0;
+  bool Contains(PointId p) const;
 
   /// The emptiness query: a core point within (1+ρ)ε of `q`, or
   /// kInvalidPoint. Guaranteed non-invalid when some member is within ε.
-  virtual PointId Query(const Point& q) const = 0;
+  PointId Query(const Point& q) const;
 
-  /// Invokes `fn` on every member (used to seed aBCP witness pairs).
-  virtual void ForEach(const std::function<void(PointId)>& fn) const = 0;
+  /// The current members (used to seed aBCP witness pairs).
+  const std::vector<PointId>& members() const { return members_; }
+
+ private:
+  const Grid* grid_;
+  int dim_;
+  double outer_sq_;
+  Box box_;
+  std::vector<int32_t>* slots_;
+  std::vector<PointId> members_;
+  std::vector<double> coords_;
 };
-
-/// Which emptiness implementation a clusterer uses.
-enum class EmptinessKind {
-  /// Flat array scan with early exit at the first point within (1+ρ)ε.
-  /// Conforming because any such point is a legal proof.
-  kBruteForce,
-  /// Members bucketed on a sub-grid of side ρε/(2√d); the query tests one
-  /// representative per occupied bucket against radius ε(1+ρ/2), which
-  /// over-approximates ε by at most half a don't-care band and
-  /// under-approximates (1+ρ)ε, hence conforming. Requires rho > 0; collapses
-  /// co-located points, which pays off at high densities.
-  kSubGrid,
-  /// A dynamic kd-tree with bounding-box pruning at radius (1+ρ)ε — the
-  /// closest structural analogue of the Arya et al. ANN structure the paper
-  /// cites. Exact at rho == 0 (where it is the only sublinear option).
-  kKdTree,
-};
-
-/// Creates an emptiness structure over core points of one cell. `grid` must
-/// outlive the structure and provides point coordinates. When `cell_box`
-/// (the bounds of the cell whose members the structure holds) is given, the
-/// scan-based implementations answer a query in O(d) whenever even the
-/// box's nearest point is beyond (1+ρ)ε — the all-miss witness probes that
-/// otherwise scan the entire member set.
-///
-/// `slot_registry`, when given, is a per-point slot array shared by every
-/// structure of one clusterer (a point is a core member of at most one cell
-/// at a time), turning the brute-force structure's member bookkeeping into
-/// two array writes instead of hash-map operations. It must outlive the
-/// structures; stale entries for non-members are never read.
-std::unique_ptr<EmptinessStructure> MakeEmptinessStructure(
-    EmptinessKind kind, const Grid* grid, const DbscanParams& params,
-    const Box* cell_box = nullptr,
-    std::vector<int32_t>* slot_registry = nullptr);
 
 }  // namespace ddc
 

@@ -6,14 +6,10 @@
 
 namespace ddc {
 
-FullyDynamicClusterer::FullyDynamicClusterer(const DbscanParams& params,
-                                             const Options& options)
+FullyDynamicClusterer::FullyDynamicClusterer(const DbscanParams& params)
     : params_(params),
-      options_(options),
       grid_(params.dim, params.eps),
-      counter_(&grid_, params, options.counter),
-      tracker_(&grid_, &counter_, params),
-      cc_(MakeConnectivity(options.connectivity)) {
+      tracker_(&grid_, params) {
   params_.Validate();
 }
 
@@ -21,19 +17,18 @@ CellCoreState& FullyDynamicClusterer::State(CellId c) {
   DDC_DCHECK(static_cast<size_t>(c) < cells_.size());
   CellCoreState& s = cells_[c];
   if (s.core_set == nullptr) {
-    const Box box = grid_.cell_box(c);
-    s.core_set = MakeEmptinessStructure(options_.emptiness, &grid_, params_,
-                                        &box, &core_slots_);
+    s.core_set = std::make_unique<EmptinessStructure>(
+        &grid_, params_, grid_.cell_box(c), &core_slots_);
   }
   return s;
 }
 
 void FullyDynamicClusterer::SetEdge(CellId a, CellId b, bool present) {
   if (present) {
-    cc_->AddEdge(a, b);
+    cc_.AddEdge(a, b);
     ++num_edges_;
   } else {
-    cc_->RemoveEdge(a, b);
+    cc_.RemoveEdge(a, b);
     --num_edges_;
   }
 }
@@ -44,10 +39,9 @@ PointId FullyDynamicClusterer::Insert(const Point& p) {
   // cells_ (references into it stay valid).
   if (ins.cell_created) {
     cells_.resize(grid_.num_cells());
-    cc_->EnsureVertices(grid_.num_cells());
+    cc_.EnsureVertices(grid_.num_cells());
   }
   freeze_.MarkCell(ins.cell);
-  counter_.OnInsert(ins.id, ins.cell);
   tracker_.OnInsert(ins.id, ins.cell,
                     [this](PointId q, CellId c) { OnCorePromoted(q, c); });
   snapshot_cache_.BumpVersion();
@@ -65,7 +59,6 @@ void FullyDynamicClusterer::Delete(PointId id) {
   }
   grid_.Delete(id);
   freeze_.MarkDeleted(id, cell);
-  counter_.OnDelete(id, cell);
   // Remaining points may demote now that the counts dropped.
   tracker_.OnDelete(id, cell,
                     [this](PointId q, CellId c) { OnCoreDemoted(q, c); });
@@ -166,14 +159,14 @@ void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
 }
 
 std::shared_ptr<const GridSnapshot> FullyDynamicClusterer::Freeze(
-    uint64_t epoch, GridFreezeState* state) const {
+    uint64_t epoch, GridFreezeState* state) {
   GridSnapshot::Sources sources;
   sources.grid = &grid_;
   sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
   sources.cell_labels = [this](const std::vector<CellId>& cells,
                                const std::vector<PointId>&,
                                std::vector<uint64_t>* labels) {
-    cc_->ComponentIdsReadOnly(cells, labels);
+    cc_.ComponentIdsReadOnly(cells, labels);
   };
   return GridSnapshot::Build(sources, params_.eps_outer(), epoch, state);
 }

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "connectivity/dynamic_connectivity.h"
+#include "connectivity/hdt.h"
 #include "core/abcp.h"
 #include "core/cluster_query.h"
 #include "core/cluster_snapshot.h"
@@ -15,7 +15,6 @@
 #include "core/emptiness.h"
 #include "core/params.h"
 #include "core/relaxed_core_tracker.h"
-#include "counting/approx_counter.h"
 #include "grid/grid.h"
 
 namespace ddc {
@@ -26,27 +25,14 @@ namespace ddc {
 /// exact DBSCAN (the "2d-Full-Exact" configuration of the experiments).
 ///
 /// Composition (Sections 7.2–7.4): the relaxed core predicate is decided by
-/// an approximate range counter; every pair of ε-close core cells runs an
-/// aBCP instance whose witness pair *is* the grid-graph edge; edge
-/// appearances/disappearances feed a fully-dynamic connectivity structure
-/// (Holm–de Lichtenberg–Thorup by default). No BFS over points ever happens
-/// on deletion — the removal of IncDBSCAN's Achilles heel.
+/// a capped range count; every pair of ε-close core cells runs an aBCP
+/// instance whose witness pair *is* the grid-graph edge; edge
+/// appearances/disappearances feed Holm–de Lichtenberg–Thorup fully-dynamic
+/// connectivity. No BFS over points ever happens on deletion — the removal
+/// of IncDBSCAN's Achilles heel.
 class FullyDynamicClusterer : public Clusterer {
  public:
-  /// Structure choices, benchmarked against each other in bench/ablation_*.
-  struct Options {
-    EmptinessKind emptiness = EmptinessKind::kBruteForce;
-    ConnectivityKind connectivity = ConnectivityKind::kHdt;
-    CounterKind counter = CounterKind::kExact;
-  };
-
-  explicit FullyDynamicClusterer(const DbscanParams& params,
-                                 const Options& options);
-
-  /// Default options: brute-force emptiness, HDT connectivity, exact
-  /// counting.
-  explicit FullyDynamicClusterer(const DbscanParams& params)
-      : FullyDynamicClusterer(params, Options{}) {}
+  explicit FullyDynamicClusterer(const DbscanParams& params);
 
   PointId Insert(const Point& p) override;
   void Delete(PointId id) override;
@@ -90,15 +76,14 @@ class FullyDynamicClusterer : public Clusterer {
 
   /// GridSnapshot::Build over this clusterer's state: through freeze_ for
   /// Snapshot(), through a fresh (all-dirty) state for FullSnapshot().
+  /// Not const: the label pass uses HDT's per-node scratch.
   std::shared_ptr<const GridSnapshot> Freeze(uint64_t epoch,
-                                             GridFreezeState* state) const;
+                                             GridFreezeState* state);
 
   DbscanParams params_;
-  Options options_;
   Grid grid_;
-  ApproxRangeCounter counter_;
   RelaxedCoreTracker tracker_;
-  std::unique_ptr<DynamicConnectivity> cc_;
+  HdtConnectivity cc_;
   std::vector<CellCoreState> cells_;
   /// aBCP instance arena; slots are recycled through the free list and
   /// addressed by the PeerLink indices in CellCoreState.

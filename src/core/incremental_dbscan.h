@@ -25,8 +25,9 @@ namespace ddc {
 ///     only one thread is left the split check stops early. Completed
 ///     threads relabel their side with a fresh id.
 ///
-/// The range queries use the shared grid (at least as fast as the R*-tree
-/// the original used, so the baseline is not handicapped — see DESIGN.md).
+/// The range queries use the shared grid: a query visits only the O(1)
+/// ε-close cells of its own, at least as fast as the R*-tree the original
+/// used, so the baseline is not handicapped.
 /// Deletions in dense regions are intentionally expensive: that is the
 /// drawback (Section 3, "Drawbacks of IncDBSCAN") the paper's algorithms
 /// remove, and what the fully-dynamic benchmarks quantify.

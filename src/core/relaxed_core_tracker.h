@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "core/params.h"
-#include "counting/approx_counter.h"
 #include "geom/point.h"
 #include "grid/grid.h"
 #include "telemetry/metrics.h"
@@ -18,7 +17,10 @@ namespace ddc {
 /// core iff an approximate range count returns k >= MinPts, where k lies in
 /// [|B(p,ε)|, |B(p,(1+ρ)ε)|]. Points whose true counts fall in the
 /// don't-care band may be declared either way; the declared statuses define
-/// one consistent legal clustering.
+/// one consistent legal clustering. The count is exact, |B(p,ε)|, which
+/// trivially lies in that range; it stands in for the Mount–Park structure
+/// [16] the paper cites, since a count over the O(1) ε-close cells that
+/// stops at MinPts is already cheap.
 ///
 /// Status can change only for points in sparse cells: a dense cell pins all
 /// of its residents to "definitely core" (any two same-cell points are
@@ -27,19 +29,19 @@ namespace ddc {
 /// dense — O~(1) work per update with an O~(1) counter.
 class RelaxedCoreTracker {
  public:
-  RelaxedCoreTracker(const Grid* grid, const ApproxRangeCounter* counter,
-                     const DbscanParams& params);
+  /// `grid` must outlive the tracker.
+  RelaxedCoreTracker(const Grid* grid, const DbscanParams& params);
 
-  /// Processes the insertion of `pid` into `cell` (grid and counter already
-  /// updated). Emits `on_promote(q, cell_of_q)` for every point that turned
-  /// core, possibly including `pid`. Templated on the callback so the
-  /// per-update path never materializes a std::function.
+  /// Processes the insertion of `pid` into `cell` (grid already updated).
+  /// Emits `on_promote(q, cell_of_q)` for every point that turned core,
+  /// possibly including `pid`. Templated on the callback so the per-update
+  /// path never materializes a std::function.
   template <typename Fn>
   void OnInsert(PointId pid, CellId cell, Fn&& on_promote);
 
-  /// Processes the deletion of `deleted` out of `cell` (grid and counter
-  /// already updated; the deleted point's own demotion, if it was core, must
-  /// be handled by the caller beforehand). Emits `on_demote(q, cell_of_q)`
+  /// Processes the deletion of `deleted` out of `cell` (grid already
+  /// updated; the deleted point's own demotion, if it was core, must be
+  /// handled by the caller beforehand). Emits `on_demote(q, cell_of_q)`
   /// for every remaining point that lost core status.
   template <typename Fn>
   void OnDelete(PointId deleted, CellId cell, Fn&& on_demote);
@@ -49,12 +51,19 @@ class RelaxedCoreTracker {
   /// Clears the flag of a point being deleted (caller handles GUM fallout).
   void ClearCore(PointId pid) { is_core_[pid] = false; }
 
+  /// The range count behind the predicate for alive point `pid`: |B(p,ε)|,
+  /// truncated at `cap` (only the comparison with MinPts matters, so the
+  /// scan stops there).
+  int Count(PointId pid, int cap) const;
+
  private:
-  bool QueryCore(PointId pid) const;
+  bool QueryCore(PointId pid) const {
+    return Count(pid, params_.min_pts) >= params_.min_pts;
+  }
 
   const Grid* grid_;
-  const ApproxRangeCounter* counter_;
   DbscanParams params_;
+  double eps_sq_;
   /// Re-query filter radius², (1+ρ)ε squared: an update farther than this
   /// from a point cannot change any conforming count for it, so its declared
   /// status stays valid without a counter query.

@@ -4,10 +4,8 @@
 
 namespace ddc {
 
-SemiDynamicClusterer::SemiDynamicClusterer(const DbscanParams& params,
-                                           EmptinessKind emptiness)
+SemiDynamicClusterer::SemiDynamicClusterer(const DbscanParams& params)
     : params_(params),
-      emptiness_kind_(emptiness),
       grid_(params.dim, params.eps),
       tracker_(&grid_, params) {
   params_.Validate();
@@ -24,9 +22,8 @@ EmptinessStructure* SemiDynamicClusterer::CoreSet(CellId c) {
     cell_core_.resize(grid_.num_cells());
   }
   if (cell_core_[c] == nullptr) {
-    const Box box = grid_.cell_box(c);
-    cell_core_[c] = MakeEmptinessStructure(emptiness_kind_, &grid_, params_,
-                                           &box, &core_slots_);
+    cell_core_[c] = std::make_unique<EmptinessStructure>(
+        &grid_, params_, grid_.cell_box(c), &core_slots_);
   }
   return cell_core_[c].get();
 }

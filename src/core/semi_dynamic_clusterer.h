@@ -29,9 +29,7 @@ namespace ddc {
 /// are never removed under insertions).
 class SemiDynamicClusterer : public Clusterer {
  public:
-  explicit SemiDynamicClusterer(
-      const DbscanParams& params,
-      EmptinessKind emptiness = EmptinessKind::kBruteForce);
+  explicit SemiDynamicClusterer(const DbscanParams& params);
 
   PointId Insert(const Point& p) override;
 
@@ -69,7 +67,6 @@ class SemiDynamicClusterer : public Clusterer {
   static uint64_t EdgeKey(CellId a, CellId b);
 
   DbscanParams params_;
-  EmptinessKind emptiness_kind_;
   Grid grid_;
   VicinityTracker tracker_;
   UnionFind uf_;

@@ -44,8 +44,7 @@ ShardedClusterer::ShardedClusterer(const DbscanParams& params,
 std::unique_ptr<ShardedClusterer::Shard> ShardedClusterer::MakeShard() {
   auto shard = std::make_unique<Shard>();
   shard->id = next_shard_id_++;
-  shard->clusterer =
-      std::make_unique<FullyDynamicClusterer>(params_, options_.inner);
+  shard->clusterer = std::make_unique<FullyDynamicClusterer>(params_);
   // The observer runs on the shard's worker thread and only touches
   // worker-side state; Flush's drain hands it to the ingest thread.
   Shard* s = shard.get();

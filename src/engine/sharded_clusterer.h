@@ -120,8 +120,6 @@ class ShardedClusterer : public Clusterer {
     int64_t watchdog_deadline_ms = 2000;
     /// Live shard split/merge under skew.
     RebalanceOptions rebalance;
-    /// Structure stack of the per-shard clusterers.
-    FullyDynamicClusterer::Options inner;
   };
 
   static constexpr int kMaxShards = 64;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/check.h"
 #include "geom/point.h"
 
 namespace ddc {
@@ -16,13 +17,22 @@ namespace ddc {
 /// half-open box [k_i * side, (k_i + 1) * side) on each dimension.
 class CellKey {
  public:
+  /// Bound on |key coordinate|. It leaves int32 room for a neighbor offset
+  /// added to a key and for the difference of two keys (Grid::KeyGapSq).
+  static constexpr double kLimit = 1 << 30;
+
   CellKey() : c_{} {}
 
   /// Key of the cell covering `p` on a grid with the given side length.
+  /// Aborts on a non-finite coordinate or one whose key would pass kLimit
+  /// (about 1e9 * side): casting such a quotient to int32 is undefined.
   static CellKey Of(const Point& p, int dim, double side) {
     CellKey k;
     for (int i = 0; i < dim; ++i) {
-      k.c_[i] = static_cast<int32_t>(std::floor(p[i] / side));
+      const double q = std::floor(p[i] / side);
+      // NaN fails the comparison too.
+      DDC_CHECK(std::fabs(q) < kLimit);
+      k.c_[i] = static_cast<int32_t>(q);
     }
     return k;
   }

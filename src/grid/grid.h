@@ -130,15 +130,11 @@ class Grid {
   template <typename Fn>
   void ForEachNearbyCell(const Point& q, Fn&& fn) const;
 
-  /// ForEachNearbyCell variant reporting which cell is `q`'s own:
-  /// `fn(CellId, bool is_own)`. Callers use it to exploit the same-cell
-  /// guarantee (side ε/√d ⇒ any two points of one cell are within ε).
-  template <typename Fn>
-  void ForEachNearbyCellTagged(const Point& q, Fn&& fn) const;
-
-  /// ForEachNearbyCellTagged for a query whose cell is already known (any
-  /// alive point's cell_of): skips the key derivation, hash, and index
-  /// probe entirely.
+  /// Invokes `fn(CellId, bool is_own)` for `home` (is_own = true) and every
+  /// materialized ε-close cell of it, for a query whose cell is already
+  /// known (any alive point's cell_of): no key derivation, hash, or index
+  /// probe. Callers use the tag to exploit the same-cell guarantee (side
+  /// ε/√d ⇒ any two points of one cell are within ε).
   template <typename Fn>
   void ForEachNearbyCellOfTagged(CellId home, Fn&& fn) const {
     fn(home, true);
@@ -228,22 +224,17 @@ void Grid::ForEachMaterializedShifted(const CellKey& key, uint64_t key_hash,
 
 template <typename Fn>
 void Grid::ForEachNearbyCell(const Point& q, Fn&& fn) const {
-  ForEachNearbyCellTagged(q, [&](CellId c, bool) { fn(c); });
-}
-
-template <typename Fn>
-void Grid::ForEachNearbyCellTagged(const Point& q, Fn&& fn) const {
   const CellKey key = CellKey::Of(q, dim_, side_);
   const uint64_t h = HashKey(key);
   const CellId* own = cell_index_.FindHashed(h, key);
   if (own != nullptr) {
-    fn(*own, true);
-    for (const CellId nb : cells_[*own].neighbors) fn(nb, false);
+    fn(*own);
+    for (const CellId nb : cells_[*own].neighbors) fn(nb);
     return;
   }
   // The query point's own cell was never materialized: fall back to probing
   // the offset table.
-  ForEachMaterializedShifted(key, h, [&](CellId c) { fn(c, false); });
+  ForEachMaterializedShifted(key, h, fn);
 }
 
 template <typename Fn>

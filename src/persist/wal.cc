@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -41,7 +42,8 @@ std::string EncodeWalOp(const WalOp& op) {
   return out;
 }
 
-bool DecodeWalOp(std::string_view payload, WalOp* op) {
+bool DecodeWalOp(std::string_view payload, WalOp* op, bool* non_finite) {
+  if (non_finite != nullptr) *non_finite = false;
   const unsigned char* p =
       reinterpret_cast<const unsigned char*>(payload.data());
   if (payload.size() < 1 + 8 + 4) return false;
@@ -66,6 +68,10 @@ bool DecodeWalOp(std::string_view payload, WalOp* op) {
   }
   for (int k = 0; k < op->dim; ++k) {
     op->point[k] = ReadLeDouble(p + 14 + static_cast<size_t>(k) * 8);
+    if (!std::isfinite(op->point[k])) {
+      if (non_finite != nullptr) *non_finite = true;
+      return false;
+    }
   }
   return true;
 }
@@ -314,9 +320,20 @@ bool ReplayWalFile(const std::string& path, uint64_t expect_first_seq,
       } else {
         const std::string_view payload(data.data() + off + kRecordHeaderBytes,
                                        len);
+        bool non_finite = false;
         if (Crc32(payload) != crc) {
           reason = "payload CRC mismatch";
-        } else if (!DecodeWalOp(payload, &op)) {
+        } else if (!DecodeWalOp(payload, &op, &non_finite)) {
+          if (non_finite) {
+            // Whole and checksummed, so not a torn tail; applying it would
+            // hand the clusterer a point no grid cell can hold.
+            if (error != nullptr) {
+              *error = "wal record seq " + std::to_string(op.seq) +
+                       " has a non-finite coordinate in " +
+                       At(path, static_cast<int64_t>(off));
+            }
+            return false;
+          }
           reason = "undecodable payload";
         } else if (op.seq != expect_seq) {
           // A well-checksummed record with the wrong sequence number is not

@@ -70,8 +70,11 @@ inline constexpr uint32_t kWalMaxRecordBytes = 4096;
 std::string EncodeWalOp(const WalOp& op);
 
 /// Parses a record payload; false on malformed input (bad type, dim out of
-/// [1, kMaxDim], length mismatch).
-bool DecodeWalOp(std::string_view payload, WalOp* op);
+/// [1, kMaxDim], length mismatch) and on an insert with a non-finite
+/// coordinate. `*non_finite`, when given, tells the last case apart: it is
+/// a whole record that must not be applied, not a torn write.
+bool DecodeWalOp(std::string_view payload, WalOp* op,
+                 bool* non_finite = nullptr);
 
 /// Appends one framed record (length + CRC + payload) to `file`.
 bool AppendWalRecord(WritableFile& file, std::string_view payload);

@@ -19,12 +19,13 @@ class AbcpHarness {
         grid_(2, params_.eps),
         rng_(seed),
         inst_(0, 1) {
-    for (CellCoreState* s : {&s1_, &s2_}) {
-      s->core_set =
-          MakeEmptinessStructure(EmptinessKind::kBruteForce, &grid_, params_);
-    }
     // Two adjacent cells: [0,side)^2 and [side,2*side)x[0,side).
     side_ = grid_.side();
+    s1_.core_set = std::make_unique<EmptinessStructure>(
+        &grid_, params_, Box(Point{0, 0}, Point{side_, side_}), &slots_);
+    s2_.core_set = std::make_unique<EmptinessStructure>(
+        &grid_, params_, Box(Point{side_, 0}, Point{2 * side_, side_}),
+        &slots_);
     inst_.Initialize(grid_, s1_, s2_);
   }
 
@@ -47,10 +48,8 @@ class AbcpHarness {
     inst_.OnCoreRemove(grid_, s1_, s2_, which == 0 ? 0 : 1, id);
   }
 
-  static std::vector<PointId> Members(const CellCoreState& s) {
-    std::vector<PointId> out;
-    s.core_set->ForEach([&](PointId p) { out.push_back(p); });
-    return out;
+  static const std::vector<PointId>& Members(const CellCoreState& s) {
+    return s.core_set->members();
   }
 
   /// True when some cross pair is within eps (the "must have witness" case).
@@ -89,6 +88,7 @@ class AbcpHarness {
   Grid grid_;
   Rng rng_;
   double side_;
+  std::vector<int32_t> slots_;  // Shared by both cells, as in a clusterer.
   CellCoreState s1_, s2_;
   AbcpInstance inst_;
 };

@@ -19,12 +19,11 @@
 namespace ddc {
 namespace {
 
-/// Cross-cutting conformance harness: every Clusterer implementation ×
-/// every FullyDynamicClusterer::Options combination runs the same seeded
-/// workloads, and at every checkpoint the reported clustering must satisfy
-/// the paper's sandwich guarantee (Theorem 3) against the static exact
-/// oracle — refined by exact DBSCAN at ε and refining exact DBSCAN at
-/// (1+ρ)ε — with exact equality when rho == 0.
+/// Cross-cutting conformance harness: every Clusterer implementation runs
+/// the same seeded workloads, and at every checkpoint the reported
+/// clustering must satisfy the paper's sandwich guarantee (Theorem 3)
+/// against the static exact oracle — refined by exact DBSCAN at ε and
+/// refining exact DBSCAN at (1+ρ)ε — with exact equality when rho == 0.
 
 /// One clusterer configuration under test.
 struct Combo {
@@ -33,25 +32,17 @@ struct Combo {
   std::function<std::unique_ptr<Clusterer>(const DbscanParams&)> make;
 };
 
-/// All configurations valid at the given rho: every SemiDynamicClusterer
-/// emptiness kind, every FullyDynamicClusterer options stack (from the
-/// shared enumeration in test_util.h), and — since IncDBSCAN maintains exact
+/// All configurations valid at the given rho: the semi- and fully-dynamic
+/// clusterers, the sharded engine and — since IncDBSCAN maintains exact
 /// DBSCAN — the baseline at rho == 0.
 std::vector<Combo> AllCombos(double rho) {
   std::vector<Combo> combos;
-  for (const auto& [kind, name] : EmptinessKinds(rho)) {
-    combos.push_back({std::string("semi/") + name, false,
-                      [kind = kind](const DbscanParams& p) {
-                        return std::make_unique<SemiDynamicClusterer>(p, kind);
-                      }});
-  }
-  for (const NamedOptions& stack : FullyDynamicOptionStacks(rho)) {
-    combos.push_back({"full/" + stack.name, true,
-                      [options = stack.options](const DbscanParams& p) {
-                        return std::make_unique<FullyDynamicClusterer>(
-                            p, options);
-                      }});
-  }
+  combos.push_back({"semi", false, [](const DbscanParams& p) {
+                      return std::make_unique<SemiDynamicClusterer>(p);
+                    }});
+  combos.push_back({"full", true, [](const DbscanParams& p) {
+                      return std::make_unique<FullyDynamicClusterer>(p);
+                    }});
   if (rho == 0) {
     combos.push_back({"inc", true, [](const DbscanParams& p) {
                         return std::make_unique<IncrementalDbscan>(p);
@@ -223,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(Rho, ConformanceTest,
 /// driver's production rho values {0, 0.001}. Correctness is
 /// geometry-independent (the oracle sees the same points), so this pins
 /// down the update-stream shapes — FIFO expiry, delete waves, bridge
-/// oscillation — against every clusterer stack.
+/// oscillation — against every clusterer.
 struct ScenarioCase {
   const char* label;
   const char* spec;

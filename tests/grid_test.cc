@@ -216,5 +216,28 @@ TEST(GridTest, NegativeCoordinates) {
   EXPECT_EQ(found, 2);
 }
 
+// A coordinate whose cell key int32 cannot hold aborts where keys are made,
+// instead of reaching the undefined float-to-int cast (and the overflow in
+// Grid::KeyGapSq that follows it).
+TEST(GridDeathTest, RejectsNonFiniteAndHugeCoordinates) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300, -1e300}) {
+    Grid grid(2, 1.0);
+    EXPECT_DEATH(grid.Insert(Point{0.5, bad}), "DDC_CHECK failed") << bad;
+  }
+}
+
+// Keys just inside the limit at both ends are fine, including the key gap
+// between them.
+TEST(GridTest, KeysNearTheLimitWork) {
+  Grid grid(2, 1.0);
+  const double far = (CellKey::kLimit - 4) * grid.side() + grid.side() / 2;
+  const auto a = grid.Insert(Point{far, 0});
+  const auto b = grid.Insert(Point{-far, 0});
+  EXPECT_NE(a.cell, b.cell);
+  EXPECT_EQ(grid.FindCell(Point{far, 0}), a.cell);
+  EXPECT_TRUE(grid.cell(a.cell).neighbors.empty());
+  EXPECT_TRUE(grid.cell(b.cell).neighbors.empty());
+}
+
 }  // namespace
 }  // namespace ddc

@@ -12,14 +12,11 @@ namespace {
 /// Soundness of the relaxed predicate under mixed updates: a marked core
 /// point must have |B(p,(1+ρ)ε)| >= MinPts, an unmarked one must have
 /// |B(p,ε)| < MinPts — everything else is don't-care.
-class RelaxedTrackerTest : public ::testing::TestWithParam<CounterKind> {};
-
-TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
+TEST(RelaxedTrackerTest, StatusStaysInsideBand) {
   DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 4, .rho = 0.15};
   Rng rng(606);
   Grid grid(2, params.eps);
-  ApproxRangeCounter counter(&grid, params, GetParam());
-  RelaxedCoreTracker tracker(&grid, &counter, params);
+  RelaxedCoreTracker tracker(&grid, params);
 
   std::vector<PointId> alive;
   auto noop_promote = [&](PointId, CellId) {};
@@ -29,7 +26,6 @@ TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
     if (alive.empty() || rng.NextBernoulli(0.6)) {
       const Point p = UniformPoints(rng, 1, 2, 4.0)[0];
       const auto ins = grid.Insert(p);
-      counter.OnInsert(ins.id, ins.cell);
       tracker.OnInsert(ins.id, ins.cell, noop_promote);
       alive.push_back(ins.id);
     } else {
@@ -37,7 +33,6 @@ TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
       const PointId id = alive[i];
       if (tracker.is_core(id)) tracker.ClearCore(id);
       const CellId cell = grid.Delete(id);
-      counter.OnDelete(id, cell);
       tracker.OnDelete(id, cell, noop_demote);
       alive[i] = alive.back();
       alive.pop_back();
@@ -60,15 +55,67 @@ TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Counters, RelaxedTrackerTest,
-                         ::testing::Values(CounterKind::kExact,
-                                           CounterKind::kSubGrid));
+/// The counting contract behind the predicate (Section 7.3):
+/// |B(p,ε)| <= Count(p, cap) <= |B(p,(1+ρ)ε)| modulo truncation at cap, and
+/// a count capped at MinPts decides k >= MinPts exactly as an uncapped one.
+class CoreCountTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(CoreCountTest, CountStaysInsideBandUnderMixedUpdates) {
+  const int dim = 2;
+  DbscanParams params{.dim = dim, .eps = 1.0, .min_pts = 5, .rho = GetParam()};
+  Rng rng(404);
+  Grid grid(dim, params.eps);
+  RelaxedCoreTracker tracker(&grid, params);
+
+  std::vector<PointId> alive;
+  for (int step = 0; step < 1500; ++step) {
+    if (alive.empty() || rng.NextBernoulli(0.65)) {
+      const auto ins = grid.Insert(UniformPoints(rng, 1, dim, 5.0)[0]);
+      tracker.OnInsert(ins.id, ins.cell, [](PointId, CellId) {});
+      alive.push_back(ins.id);
+    } else {
+      const size_t i = rng.NextBelow(alive.size());
+      const PointId id = alive[i];
+      if (tracker.is_core(id)) tracker.ClearCore(id);
+      const CellId cell = grid.Delete(id);
+      tracker.OnDelete(id, cell, [](PointId, CellId) {});
+      alive[i] = alive.back();
+      alive.pop_back();
+    }
+
+    if (step % 25 != 0) continue;
+    for (int probe = 0; probe < 10; ++probe) {
+      const PointId p = alive[rng.NextBelow(alive.size())];
+      int inner = 0, outer = 0;
+      for (const PointId id : alive) {
+        const double d = Distance(grid.point(p), grid.point(id), dim);
+        inner += d <= params.eps;
+        outer += d <= params.eps_outer();
+      }
+      const int got = tracker.Count(p, 1000000);
+      ASSERT_GE(got, inner) << "step " << step;
+      ASSERT_LE(got, outer) << "step " << step;
+      const int capped = tracker.Count(p, params.min_pts);
+      ASSERT_EQ(capped >= params.min_pts, got >= params.min_pts);
+      ASSERT_LE(capped, params.min_pts);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rho, CoreCountTest, ::testing::Values(0.0, 0.3));
+
+TEST(CoreCountTest, CountsSelf) {
+  DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0.1};
+  Grid grid(2, 1.0);
+  RelaxedCoreTracker tracker(&grid, params);
+  const auto ins = grid.Insert(Point{1, 1});
+  EXPECT_EQ(tracker.Count(ins.id, 10), 1);
+}
 
 TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0.0};
   Grid grid(2, params.eps);
-  ApproxRangeCounter counter(&grid, params, CounterKind::kExact);
-  RelaxedCoreTracker tracker(&grid, &counter, params);
+  RelaxedCoreTracker tracker(&grid, params);
 
   std::vector<PointId> promoted, demoted;
   auto on_promote = [&](PointId p, CellId) { promoted.push_back(p); };
@@ -77,7 +124,6 @@ TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   std::vector<PointId> ids;
   for (const double x : {0.0, 0.1, 0.2}) {
     const auto ins = grid.Insert(Point{x, 0});
-    counter.OnInsert(ins.id, ins.cell);
     tracker.OnInsert(ins.id, ins.cell, on_promote);
     ids.push_back(ins.id);
   }
@@ -86,7 +132,6 @@ TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   // Delete one: the remaining two must demote.
   if (tracker.is_core(ids[0])) tracker.ClearCore(ids[0]);
   const CellId cell = grid.Delete(ids[0]);
-  counter.OnDelete(ids[0], cell);
   tracker.OnDelete(ids[0], cell, on_demote);
   EXPECT_EQ(demoted.size(), 2u);
   EXPECT_FALSE(tracker.is_core(ids[1]));

@@ -51,18 +51,17 @@ INSTANTIATE_TEST_SUITE_P(
 struct ApproxCase {
   int dim;
   double rho;
-  EmptinessKind kind;
 };
 
 class SemiSandwichTest : public ::testing::TestWithParam<ApproxCase> {};
 
 TEST_P(SemiSandwichTest, SandwichAtEveryPrefix) {
-  const auto [dim, rho, kind] = GetParam();
+  const auto [dim, rho] = GetParam();
   Rng rng(900 + dim);
   const auto pts = BlobPoints(rng, 200, dim, 7.0, 4, 0.9, 0.12);
   DbscanParams params{.dim = dim, .eps = 0.9, .min_pts = 4, .rho = rho};
 
-  SemiDynamicClusterer clusterer(params, kind);
+  SemiDynamicClusterer clusterer(params);
   for (int n = 0; n < static_cast<int>(pts.size()); ++n) {
     clusterer.Insert(pts[n]);
     if (n % 40 != 39 && n + 1 != static_cast<int>(pts.size())) continue;
@@ -79,11 +78,8 @@ TEST_P(SemiSandwichTest, SandwichAtEveryPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, SemiSandwichTest,
-    ::testing::Values(ApproxCase{2, 0.001, EmptinessKind::kBruteForce},
-                      ApproxCase{2, 0.5, EmptinessKind::kBruteForce},
-                      ApproxCase{3, 0.25, EmptinessKind::kBruteForce},
-                      ApproxCase{3, 0.25, EmptinessKind::kSubGrid},
-                      ApproxCase{5, 0.1, EmptinessKind::kSubGrid}));
+    ::testing::Values(ApproxCase{2, 0.001}, ApproxCase{2, 0.5},
+                      ApproxCase{3, 0.25}, ApproxCase{5, 0.1}));
 
 TEST(SemiDynamicTest, FigureOneScenario) {
   // The paper's Figure 1: insertions create a connection path that merges

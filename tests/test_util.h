@@ -1,15 +1,12 @@
 #ifndef DDC_TESTS_TEST_UTIL_H_
 #define DDC_TESTS_TEST_UTIL_H_
 
-#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/random.h"
 #include "core/clusterer.h"
-#include "core/fully_dynamic_clusterer.h"
 #include "core/params.h"
 #include "core/static_dbscan.h"
 #include "geom/point.h"
@@ -122,49 +119,6 @@ inline CGroupByResult OracleOverAlive(const std::vector<Point>& points,
   alive_points.reserve(alive.size());
   for (const PointId k : alive) alive_points.push_back(points[k]);
   return StaticDbscan(alive_points, params).ToGroups(alive);
-}
-
-/// The emptiness kinds valid at the given rho (kSubGrid buckets at side
-/// ρε/(2√d), so it exists only for rho > 0), with display names.
-inline std::vector<std::pair<EmptinessKind, const char*>> EmptinessKinds(
-    double rho) {
-  std::vector<std::pair<EmptinessKind, const char*>> kinds = {
-      {EmptinessKind::kBruteForce, "bf"}, {EmptinessKind::kKdTree, "kdtree"}};
-  if (rho > 0) kinds.push_back({EmptinessKind::kSubGrid, "subgrid"});
-  return kinds;
-}
-
-/// One named FullyDynamicClusterer::Options structure stack.
-struct NamedOptions {
-  std::string name;
-  FullyDynamicClusterer::Options options;
-};
-
-/// Every options combination valid at the given rho — the single source the
-/// cross-algorithm tests enumerate from, so adding a structure kind widens
-/// every suite at once. The kSubGrid emptiness and counter structures bucket
-/// at side ρε/(2√d), so they exist only for rho > 0.
-inline std::vector<NamedOptions> FullyDynamicOptionStacks(double rho) {
-  const std::pair<ConnectivityKind, const char*> connectivity[] = {
-      {ConnectivityKind::kHdt, "hdt"}, {ConnectivityKind::kBfs, "bfs"}};
-  const std::pair<CounterKind, const char*> counters[] = {
-      {CounterKind::kExact, "exact"}, {CounterKind::kSubGrid, "subgrid"}};
-
-  std::vector<NamedOptions> stacks;
-  for (const auto& [e, e_name] : EmptinessKinds(rho)) {
-    for (const auto& [c, c_name] : connectivity) {
-      for (const auto& [k, k_name] : counters) {
-        if (rho == 0 && k == CounterKind::kSubGrid) continue;
-        FullyDynamicClusterer::Options options;
-        options.emptiness = e;
-        options.connectivity = c;
-        options.counter = k;
-        stacks.push_back({std::string(e_name) + "+" + c_name + "+" + k_name,
-                          options});
-      }
-    }
-  }
-  return stacks;
 }
 
 }  // namespace ddc

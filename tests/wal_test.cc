@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -113,6 +114,20 @@ TEST(WalOpTest, RejectsMalformedPayloads) {
   EXPECT_FALSE(DecodeWalOp(insert, &op));
   insert[13] = 3;  // dim/length mismatch.
   EXPECT_FALSE(DecodeWalOp(insert, &op));
+}
+
+TEST(WalOpTest, RejectsNonFiniteCoordinates) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    WalOp op;
+    bool non_finite = false;
+    EXPECT_FALSE(
+        DecodeWalOp(EncodeWalOp(InsertOp(1, 0.5, bad)), &op, &non_finite));
+    EXPECT_TRUE(non_finite) << bad;
+  }
+  WalOp op;
+  bool non_finite = true;
+  EXPECT_FALSE(DecodeWalOp("", &op, &non_finite));
+  EXPECT_FALSE(non_finite);  // Malformed, which is another matter.
 }
 
 TEST(WalTest, WriteReplayRoundTrip) {
@@ -301,6 +316,38 @@ TEST(WalTest, ValidCrcWrongSeqIsAHardErrorEvenAtTheTail) {
   EXPECT_TRUE(got.empty());
   EXPECT_NE(error.find("seq 5"), std::string::npos) << error;
   EXPECT_NE(error.find("offset"), std::string::npos) << error;
+}
+
+TEST(WalTest, ValidCrcNonFiniteRecordIsAHardErrorEvenAtTheTail) {
+  // A whole, correctly checksummed insert of a NaN point: not a torn write,
+  // and no clusterer may apply it, so replay refuses the log and names the
+  // record.
+  const std::string dir = TempDir("nan");
+  std::string error;
+  std::unique_ptr<WritableFile> f =
+      DefaultFileFactory()(dir + "/" + WalSegmentName(1));
+  std::string header;
+  header.append("DDCWAL01", 8);
+  AppendLe64(header, 1);
+  AppendLe32(header, Crc32(header.data() + 8, 8));
+  ASSERT_TRUE(f->Append(header));
+  WalOp good = InsertOp(0, 1, 2);
+  good.seq = 1;
+  ASSERT_TRUE(AppendWalRecord(*f, EncodeWalOp(good)));
+  WalOp bad = InsertOp(1, std::nan(""), 2);
+  bad.seq = 2;
+  ASSERT_TRUE(AppendWalRecord(*f, EncodeWalOp(bad)));
+  ASSERT_TRUE(f->Close());
+
+  WalReplayReport report;
+  const std::vector<WalOp> got = ReplayAll(dir, &report, &error);
+  EXPECT_TRUE(got.empty());
+  EXPECT_FALSE(report.truncated);
+  EXPECT_NE(error.find("wal record seq 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+  const std::string at = "offset " + std::to_string(kHeaderBytes +
+                                                    kInsert2Frame);
+  EXPECT_NE(error.find(at), std::string::npos) << error;
 }
 
 TEST(WalTest, MissingMiddleSegmentIsAHardError) {
